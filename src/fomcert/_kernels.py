@@ -1,4 +1,4 @@
-"""Pure-numpy fallback for the hot inner-loop kernels."""
+"""The numpy inner-loop kernels of the prox steps and Bregman distances."""
 
 import numpy as np
 

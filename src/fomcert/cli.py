@@ -29,9 +29,26 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_number(value, what, lower, strict=False):
+    """Reject a config value that is not a finite real number at or above
+    lower (strictly above when strict)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or not (value > lower if strict else value >= lower)):
+        raise ConfigError("%s must be a finite number %s %g, got %r"
+                          % (what, ">" if strict else ">=", lower, value))
+
+
 def _default_tol():
     env = os.environ.get("FOM_TOL")
-    return float(env) if env else methods.DEFAULT_TOL
+    if not env:
+        return methods.DEFAULT_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        raise ConfigError("FOM_TOL must be a number, got %r" % env)
+    _check_number(tol, "FOM_TOL", 0.0)
+    return tol
 
 
 def config_from_dict(spec, iterations):
@@ -67,6 +84,16 @@ def _load_run_config(path):
     for key in ("instance", "method", "iterations"):
         if key not in cfg:
             raise ConfigError("config missing %r" % key)
+    iterations = cfg["iterations"]
+    if (isinstance(iterations, bool) or not isinstance(iterations, int)
+            or iterations < 1):
+        raise ConfigError("iterations must be a positive integer, got %r"
+                          % (iterations,))
+    spec = cfg["method"]
+    if "r" in spec:
+        _check_number(spec["r"], "r", 1.0, strict=True)
+    if "gamma" in spec:
+        _check_number(spec["gamma"], "gamma", 1.0)
     return cfg
 
 
@@ -81,11 +108,12 @@ def cmd_run(args):
         instance.constants.update(inst_spec.get("constants", {}))
         config = config_from_dict(cfg["method"], cfg["iterations"])
         methods.validate_compatibility(instance, config)
+        tol = cfg.get("tolerance", _default_tol())
+        _check_number(tol, "tolerance", 0.0)
     except (ConfigError, KeyError, IncompatibleConfig, TypeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
-    tol = cfg.get("tolerance", _default_tol())
     reference = None
     if cfg.get("reference", instance.known_optimum is not None):
         reference = problems.reference_optimum(

@@ -1,6 +1,7 @@
 """The named algorithms as preset configurations of the engine and the step
 rules, each attaching its convergence bound to the trace."""
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -219,27 +220,36 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
 
 
 def _check_row(trace, instance, config, cert, state, bound, ref_value, tol):
+    # Every comparison is written so that a NaN on either side fails it.
     k = state.k
-    if cert.weak_gap < -1e-9:
+    for name, value in (("primal", cert.primal), ("gap", cert.gap),
+                        ("delta", cert.delta),
+                        ("thm1_residual", cert.thm1_residual),
+                        ("thm2_residual", cert.thm2_residual),
+                        ("bound", bound)):
+        if value is not None and not math.isfinite(value):
+            trace.violation("non-finite %s at k=%d: %r" % (name, k, value))
+    # weak_gap may be +inf (-A*u outside dom Psi*), never NaN or negative.
+    if not (cert.weak_gap >= -1e-9):
         trace.violation("weak duality violated at k=%d: gap=%.3e"
                         % (k, cert.weak_gap))
-    if cert.gap > cert.delta + tol * max(1.0, abs(cert.delta)):
+    if not (cert.gap <= cert.delta + tol * max(1.0, abs(cert.delta))):
         trace.violation("gap exceeds certified slack at k=%d" % k)
-    if cert.thm1_residual > max(tol, 1e-10):
+    if not (cert.thm1_residual <= max(tol, 1e-10)):
         trace.violation("subgradient identity residual %.3e at k=%d"
                         % (cert.thm1_residual, k))
-    if cert.thm2_residual > max(tol, 1e-10):
+    if not (cert.thm2_residual <= max(tol, 1e-10)):
         trace.violation("gradient identity residual %.3e at k=%d"
                         % (cert.thm2_residual, k))
-    if instance.zero_reference and cert.gap > state.cggap + 1e-8:
+    if instance.zero_reference and not (cert.gap <= state.cggap + 1e-8):
         trace.violation("primal-dual gap exceeds CGgap at k=%d" % k)
     if bound is not None:
         if isinstance(config, ConditionalSubgradient):
-            if cert.gap > bound + tol * max(1.0, bound):
+            if not (cert.gap <= bound + tol * max(1.0, bound)):
                 trace.violation("CG gap bound violated at k=%d" % k)
         elif ref_value is not None:
             subopt = cert.primal - ref_value
-            if subopt > bound + tol * max(1.0, bound):
+            if not (subopt <= bound + tol * max(1.0, bound)):
                 trace.violation("convergence bound violated at k=%d: "
                                 "%.3e > %.3e" % (k, subopt, bound))
 

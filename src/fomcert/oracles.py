@@ -5,7 +5,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .linalg import LinearMap
 from .reference import ReferenceFunction, ZeroReference
 
@@ -92,9 +91,6 @@ class BoxIndicator(SimpleFunction):
         # Support function of the box.
         return float(np.sum(np.maximum(v * self.lo, v * self.hi)))
 
-    def project(self, x):
-        return np.clip(x, self.lo, self.hi)
-
     def linmin(self, c):
         return np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.lo))
 
@@ -107,9 +103,6 @@ class SimplexIndicator(SimpleFunction):
 
     def conjugate(self, v):
         return float(np.max(v))
-
-    def project(self, x):
-        return _kernels.project_simplex(x)
 
     def linmin(self, c):
         out = np.zeros_like(c)

@@ -292,10 +292,6 @@ def make_instance(name, seed=0, **params):
     return instance
 
 
-def domain_sampler(instance):
-    return instance.sampler
-
-
 def _composite_bregman(instance, u, v):
     # Bregman distance of the smooth composite x -> f(Ax).
     A, f = instance.A, instance.f
@@ -314,7 +310,7 @@ def verify_constants(instance, samples=1000, seed=12345, constants=None):
     if constants:
         con.update(constants)
     rng = SplitMix64(seed)
-    sample = domain_sampler(instance)
+    sample = instance.sampler
     h = instance.h
     cond = instance.condition
     max_ratio = 0.0

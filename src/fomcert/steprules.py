@@ -14,21 +14,6 @@ class BacktrackFailed(RuntimeError):
 
 
 @dataclass
-class FixedT:
-    t: float
-
-
-@dataclass
-class FixedScheduleT:
-    schedule: list  # t_k per iteration
-
-
-@dataclass
-class ThetaScheduleCG:
-    nu: float
-
-
-@dataclass
 class BacktrackSmooth:
     r: float = 2.0
     t_init: float = 1.0

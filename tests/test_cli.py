@@ -71,6 +71,39 @@ def test_run_unreadable_config_exits_1(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("overrides", [
+    {"iterations": 0},
+    {"iterations": -3},
+    {"iterations": "10"},
+    {"iterations": True},
+    {"iterations": 10.0},
+    {"method": {"name": "prox_gradient", "r": 1.0}},
+    {"method": {"name": "prox_gradient", "r": 0.5}},
+    {"method": {"name": "prox_gradient", "r": "2"}},
+    {"method": {"name": "fast_gradient", "gamma": "2"}},
+    {"method": {"name": "fast_gradient", "gamma": float("inf")}},
+    {"method": {"name": "fast_gradient", "gamma": float("nan")}},
+    {"method": {"name": "fast_gradient", "gamma": 0.5}},
+    {"tolerance": "1e-8"},
+    {"tolerance": None},
+    {"tolerance": -1e-8},
+], ids=repr)
+def test_run_bad_value_exits_1(tmp_path, capsys, overrides):
+    cfgpath = _write_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["run", "--config", str(cfgpath)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_run_bad_fom_tol_exits_1(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FOM_TOL", value)
+    cfgpath = _write_config(tmp_path / "cfg.json")
+    assert cli.main(["run", "--config", str(cfgpath)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: FOM_TOL"), err
+
+
 def test_run_fault_injection_exits_2(tmp_path):
     # Declaring L far too small makes the convergence-bound check fail.
     cfgpath = _write_config(

@@ -1,48 +1,35 @@
-import importlib
-
 import numpy as np
-import pytest
 
+import fomcert
 from fomcert import _kernels
-from fomcert._kernels import _pykernels
-
-try:
-    from fomcert import _ckernels
-except ImportError:
-    _ckernels = None
-
-BOTH = [_pykernels] + ([_ckernels] if _ckernels is not None else [])
 
 
 def test_implementation_tag():
-    assert _kernels.IMPLEMENTATION in ("python", "cython")
-    assert _pykernels.IMPLEMENTATION == "python"
-    if _ckernels is not None:
-        assert _ckernels.IMPLEMENTATION == "cython"
+    assert _kernels.IMPLEMENTATION == "python"
+    assert fomcert.kernel_implementation == "python"
 
 
-@pytest.mark.parametrize("impl", BOTH)
-def test_soft_threshold(impl):
+def test_soft_threshold():
     v = np.array([3.0, -2.0, 0.5, 0.0])
-    out = impl.soft_threshold(v, 1.0)
+    out = _kernels.soft_threshold(v, 1.0)
     assert np.allclose(out, [2.0, -1.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("impl", BOTH)
-def test_project_simplex_examples(impl):
+def test_project_simplex_examples():
     # Already on the simplex: fixed point.
-    assert np.allclose(impl.project_simplex(np.array([0.5, 0.5])), [0.5, 0.5])
+    assert np.allclose(_kernels.project_simplex(np.array([0.5, 0.5])),
+                       [0.5, 0.5])
     # One dominant coordinate: [2, 0] -> shift by lambda = 1.
-    assert np.allclose(impl.project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-    assert np.allclose(impl.project_simplex(np.array([5.0])), [1.0])
+    assert np.allclose(_kernels.project_simplex(np.array([2.0, 0.0])),
+                       [1.0, 0.0])
+    assert np.allclose(_kernels.project_simplex(np.array([5.0])), [1.0])
 
 
-@pytest.mark.parametrize("impl", BOTH)
-def test_project_simplex_is_projection(impl):
+def test_project_simplex_is_projection():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = rng.standard_normal(8) * 3.0
-        p = impl.project_simplex(v)
+        p = _kernels.project_simplex(v)
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) <= 1e-12
         # Variational characterization: <v - p, q - p> <= 0 for feasible q.
@@ -51,68 +38,33 @@ def test_project_simplex_is_projection(impl):
             assert float((v - p) @ (q - p)) <= 1e-10
 
 
-@pytest.mark.parametrize("impl", BOTH)
-def test_entropy_prox_simplex_example(impl):
+def test_entropy_prox_simplex_example():
     # s_prev uniform, t*c = [ln 2, 0]: weights [0.25, 0.5] -> s = [1/3, 2/3].
-    s, log_z = impl.entropy_prox_simplex(np.log(np.array([0.5, 0.5])),
-                                         np.array([np.log(2.0), 0.0]))
+    s, log_z = _kernels.entropy_prox_simplex(np.log(np.array([0.5, 0.5])),
+                                          np.array([np.log(2.0), 0.0]))
     assert np.allclose(s, [1.0 / 3.0, 2.0 / 3.0])
     assert abs(log_z - np.log(0.75)) <= 1e-14
     assert abs(s.sum() - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("impl", BOTH)
-def test_bregman_kernels_match_definitions(impl):
+def test_bregman_kernels_match_definitions():
     rng = np.random.default_rng(11)
     for _ in range(30):
         s = rng.uniform(0.1, 2.0, 6)
         z = rng.uniform(0.1, 2.0, 6)
         d = s - z
-        assert abs(impl.sq_euclid_bregman(s, z) - 0.5 * float(d @ d)) <= 1e-12
+        sq = 0.5 * float(d @ d)
+        assert abs(_kernels.sq_euclid_bregman(s, z) - sq) <= 1e-12
         ent = float(np.sum(s * np.log(s / z)) - s.sum() + z.sum())
-        assert abs(impl.entropy_bregman(s, z) - ent) <= 1e-12
+        assert abs(_kernels.entropy_bregman(s, z) - ent) <= 1e-12
         burg = float(np.sum(s / z - np.log(s / z) - 1.0))
-        assert abs(impl.burg_bregman(s, z) - burg) <= 1e-12
+        assert abs(_kernels.burg_bregman(s, z) - burg) <= 1e-12
 
 
 def test_entropy_bregman_zero_coordinates():
     s = np.array([0.0, 1.0])
     z = np.array([0.5, 0.5])
-    for impl in BOTH:
-        # 0 log 0 = 0 on the first coordinate.
-        expected = 1.0 * np.log(2.0) - 1.0 + 1.0
-        assert abs(impl.entropy_bregman(s, z) - expected) <= 1e-12
+    # 0 log 0 = 0 on the first coordinate.
+    expected = 1.0 * np.log(2.0) - 1.0 + 1.0
+    assert abs(_kernels.entropy_bregman(s, z) - expected) <= 1e-12
 
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels unavailable")
-def test_compiled_matches_fallback():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(1, 12))
-        v = rng.standard_normal(n) * 2.0
-        tau = float(rng.uniform(0.0, 1.5))
-        assert np.allclose(_ckernels.soft_threshold(v, tau),
-                           _pykernels.soft_threshold(v, tau), atol=1e-15)
-        assert np.allclose(_ckernels.project_simplex(v),
-                           _pykernels.project_simplex(v), atol=1e-12)
-        s = rng.uniform(0.05, 2.0, n)
-        z = rng.uniform(0.05, 2.0, n)
-        for name in ("sq_euclid_bregman", "entropy_bregman", "burg_bregman"):
-            a = getattr(_ckernels, name)(s, z)
-            b = getattr(_pykernels, name)(s, z)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-        logp = np.log(rng.dirichlet(np.ones(n))) if n > 1 else np.zeros(1)
-        tc = rng.standard_normal(n)
-        sc, lzc = _ckernels.entropy_prox_simplex(logp, tc)
-        sp, lzp = _pykernels.entropy_prox_simplex(logp, tc)
-        assert np.allclose(sc, sp, atol=1e-14)
-        assert abs(lzc - lzp) <= 1e-12
-
-
-def test_pure_fallback_forced(monkeypatch):
-    monkeypatch.setenv("FOMCERT_PURE", "1")
-    import fomcert._kernels as km
-    km = importlib.reload(km)
-    assert km.IMPLEMENTATION == "python"
-    monkeypatch.delenv("FOMCERT_PURE")
-    importlib.reload(km)

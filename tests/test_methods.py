@@ -1,6 +1,11 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from fomcert import engine
+from fomcert.engine import Certificate
 from fomcert.methods import (
     ConditionalSubgradient,
     FastGradient,
@@ -8,6 +13,7 @@ from fomcert.methods import (
     ProxGradient,
     ProxSubgradient,
     UniversalGradient,
+    _check_row,
     compatible_configs,
     rate_bound,
     run,
@@ -15,6 +21,7 @@ from fomcert.methods import (
     validate_compatibility,
 )
 from fomcert.problems import make_instance
+from fomcert.trace import Trace
 
 from conftest import quadratic_1d
 
@@ -142,3 +149,46 @@ def test_trace_wall_time_recorded():
     inst = make_instance("lasso", seed=0)
     trace = run(inst, ProxGradient(iterations=20))
     assert trace.wall_time_ms > 0.0
+
+
+def test_nan_certificate_is_a_violation(monkeypatch):
+    real = engine.certificate
+
+    def nan_certificate(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), primal=float("nan"),
+                                   gap=float("nan"))
+
+    monkeypatch.setattr(engine, "certificate", nan_certificate)
+    trace = run(make_instance("lasso", seed=0), ProxGradient(iterations=5))
+    for k in range(1, 6):
+        assert "non-finite primal at k=%d: nan" % k in trace.violations
+        assert "non-finite gap at k=%d: nan" % k in trace.violations
+
+
+_FINITE_CERT = dict(primal=1.0, dual_surrogate=0.9, gap=0.1, delta=0.2,
+                    thm1_residual=0.0, thm2_residual=0.0, bound=0.5,
+                    weak_gap=0.05)
+
+
+def _violations(**fields):
+    cert = Certificate(**dict(_FINITE_CERT, **fields))
+    trace = Trace("lasso", "prox_gradient")
+    _check_row(trace, SimpleNamespace(zero_reference=False),
+               ProxGradient(iterations=10), cert,
+               SimpleNamespace(k=3, cggap=None), cert.bound, ref_value=0.9,
+               tol=1e-8)
+    return trace.violations
+
+
+@pytest.mark.parametrize("field", ["primal", "gap", "delta", "thm1_residual",
+                                   "thm2_residual", "bound", "weak_gap"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_check_row_fails_closed(field, value):
+    assert _violations() == []
+    found = _violations(**{field: value})
+    if field != "weak_gap":
+        assert "non-finite %s at k=3: %r" % (field, value) in found
+    elif value == float("inf"):
+        assert found == []  # -A*u outside dom(Psi*), as Certificate documents
+    else:
+        assert found[0].startswith("weak duality violated at k=3")

@@ -41,7 +41,6 @@ def test_box_indicator():
     # Support function: sum max(v*lo, v*hi).
     v = np.array([2.0, -3.0])
     assert psi.conjugate(v) == 2.0 * 1.0 + (-3.0) * 0.0
-    assert np.allclose(psi.project(np.array([5.0, -5.0])), [1.0, 0.0])
     assert np.allclose(psi.linmin(np.array([1.0, -1.0])), [-1.0, 2.0])
     with pytest.raises(ValueError):
         BoxIndicator(np.array([1.0]), np.array([0.0]))
@@ -56,8 +55,6 @@ def test_simplex_indicator():
     # linmin: lowest-index vertex on ties.
     assert np.allclose(psi.linmin(np.array([0.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
     assert np.allclose(psi.linmin(np.array([1.0, -2.0])), [0.0, 1.0])
-    p = psi.project(np.array([2.0, 0.0]))
-    assert np.allclose(p, [1.0, 0.0])
 
 
 def test_l1_ball_indicator():
