@@ -39,6 +39,12 @@ def _check_number(value, what, lower, strict=False):
                           % (what, ">" if strict else ">=", lower, value))
 
 
+def _check_positive_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError("%s must be a positive integer, got %r"
+                          % (what, value))
+
+
 def _default_tol():
     env = os.environ.get("FOM_TOL")
     if not env:
@@ -84,11 +90,9 @@ def _load_run_config(path):
     for key in ("instance", "method", "iterations"):
         if key not in cfg:
             raise ConfigError("config missing %r" % key)
-    iterations = cfg["iterations"]
-    if (isinstance(iterations, bool) or not isinstance(iterations, int)
-            or iterations < 1):
-        raise ConfigError("iterations must be a positive integer, got %r"
-                          % (iterations,))
+    _check_positive_int(cfg["iterations"], "iterations")
+    if "reference_budget" in cfg:
+        _check_positive_int(cfg["reference_budget"], "reference_budget")
     spec = cfg["method"]
     if "r" in spec:
         _check_number(spec["r"], "r", 1.0, strict=True)
@@ -116,8 +120,12 @@ def cmd_run(args):
 
     reference = None
     if cfg.get("reference", instance.known_optimum is not None):
-        reference = problems.reference_optimum(
-            instance, budget=cfg.get("reference_budget", 20000))
+        try:
+            reference = problems.reference_optimum(
+                instance, budget=cfg.get("reference_budget", 20000))
+        except methods.ReferenceBracketError as exc:
+            print("reference error: %s" % exc, file=sys.stderr)
+            return EXIT_VIOLATION
 
     out_dir = args.out or cfg.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)

@@ -66,7 +66,8 @@ class EngineState:
 
     def __init__(self, instance, record_history=False):
         start = np.asarray(instance.feasible_start, dtype=float)
-        if not math.isfinite(instance.psi.value(start)):
+        psi_start = instance.psi.value(start)
+        if not math.isfinite(psi_start):
             raise InfeasibleStart("starting point outside dom(Psi)")
         instance.h.value(start)  # raises DomainError outside dom(h)
         self.k = 0
@@ -75,6 +76,7 @@ class EngineState:
         self.x = start.copy()
         self.z = start.copy()
         self.Ax = instance.A.apply(start)
+        self.F_x = instance.f.value(self.Ax) + psi_start  # F(x_k), kept by commit
         self.Az = self.Ax.copy()
         self.T = _Kahan()
         self.U = np.zeros(instance.A.out_dim)
@@ -92,6 +94,9 @@ class EngineState:
         self.last_t = None
         self.last_theta = None
         self.history = [] if record_history else None
+        # Per-iteration y-side data (y, Ay, g, c, f(Ay), Psi(y)) by selector,
+        # for the selectors whose y does not depend on t; cleared by commit.
+        self.y_side = {}
 
 
 def init(instance, record_history=False):
@@ -103,10 +108,11 @@ class TrialStep:
 
     __slots__ = ("t", "theta", "y", "g", "c", "s", "g_psi",
                  "Ay", "fAy", "psi_y", "As", "fAs", "psi_s",
-                 "Dh", "excess", "sgrad_term")
+                 "Dh", "excess", "sgrad_term", "x_comb", "Ax_comb", "F_comb")
 
     def __init__(self, t, theta, y, g, c, s, g_psi, Ay, fAy, psi_y,
-                 As, fAs, psi_s, Dh, excess, sgrad_term):
+                 As, fAs, psi_s, Dh, excess, sgrad_term, x_comb, Ax_comb,
+                 F_comb):
         self.t = t
         self.theta = theta
         self.y = y
@@ -123,37 +129,64 @@ class TrialStep:
         self.Dh = Dh
         self.excess = excess
         self.sgrad_term = sgrad_term
+        self.x_comb = x_comb
+        self.Ax_comb = Ax_comb
+        self.F_comb = F_comb
+
+
+def _y_side(instance, y):
+    """(Ay, g, c): the image of y, g = f'(Ay) and c = A* g."""
+    A = instance.A
+    Ay = A.apply(y)
+    g = instance.f.subgradient(Ay)
+    return Ay, g, A.adjoint_apply(g)
 
 
 def propose(state, instance, ysel, t):
-    """Solve one candidate iteration at step size t without committing it."""
+    """Solve one candidate iteration at step size t without committing it.
+
+    For PROX_POINT and CURRENT_AVERAGE the y-side data do not depend on t,
+    so every backtracking trial of one iteration reuses them.
+    """
     if t <= 0:
         raise ValueError("step size must be positive")
     T_prev = state.T.total
     theta = t / (T_prev + t)
 
-    if ysel == PROX_POINT:
-        y = state.s_prev
-    elif ysel == CURRENT_AVERAGE:
-        y = state.x
-    elif ysel == FAST_COMBO:
+    if ysel == FAST_COMBO:
         y = (1.0 - theta) * state.x + theta * state.s_prev
+        Ay, g, c = _y_side(instance, y)
+        fAy = psi_y = None
     else:
-        raise ValueError("unknown y selector: %r" % (ysel,))
+        cached = state.y_side.get(ysel)
+        if cached is None:
+            if ysel == PROX_POINT:
+                y = state.s_prev
+            elif ysel == CURRENT_AVERAGE:
+                y = state.x
+            else:
+                raise ValueError("unknown y selector: %r" % (ysel,))
+            Ay, g, c = _y_side(instance, y)
+            cached = (y, Ay, g, c, instance.f.value(Ay), instance.psi.value(y))
+            state.y_side[ysel] = cached
+        y, Ay, g, c, fAy, psi_y = cached
 
-    A = instance.A
-    Ay = A.apply(y)
-    g = instance.f.subgradient(Ay)
-    c = A.adjoint_apply(g)
     s, g_psi = prox_step(instance, c, t, state.s_prev)
-    return finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay)
+    return finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay,
+                        fAy, psi_y)
 
 
-def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay):
-    """Evaluate the objective pieces a trial needs for its descent terms."""
+def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay,
+                 fAy=None, psi_y=None):
+    """Evaluate the objective pieces a trial needs for its descent terms.
+
+    fAy = f(Ay) and psi_y = Psi(y) are computed when the caller has not.
+    """
     A, f, psi, h = instance.A, instance.f, instance.psi, instance.h
-    fAy = f.value(Ay)
-    psi_y = psi.value(y)
+    if fAy is None:
+        fAy = f.value(Ay)
+    if psi_y is None:
+        psi_y = psi.value(y)
     As = A.apply(s)
     fAs = f.value(As)
     psi_s = psi.value(s)
@@ -163,13 +196,13 @@ def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay):
     Ax_comb = (1.0 - theta) * state.Ax + theta * As
     x_comb = (1.0 - theta) * state.x + theta * s
     F_comb = f.value(Ax_comb) + psi.value(x_comb)
-    F_x = f.value(state.Ax) + psi.value(state.x)
     F_s = fAs + psi_s
     D_fa = fAs - fAy - float(g @ (As - Ay))
-    excess = F_comb - (1.0 - theta) * F_x - theta * F_s + theta * D_fa
+    excess = F_comb - (1.0 - theta) * state.F_x - theta * F_s + theta * D_fa
     sgrad_term = t * excess / theta - Dh
     return TrialStep(t, theta, y, g, c, s, g_psi, Ay, fAy, psi_y,
-                     As, fAs, psi_s, Dh, excess, sgrad_term)
+                     As, fAs, psi_s, Dh, excess, sgrad_term, x_comb, Ax_comb,
+                     F_comb)
 
 
 def commit(state, instance, trial):
@@ -196,8 +229,9 @@ def commit(state, instance, trial):
         else:
             state.cggap = cggap_update(state.cggap, trial.excess, theta)
 
-    state.x = (1.0 - theta) * state.x + theta * s
-    state.Ax = (1.0 - theta) * state.Ax + theta * trial.As
+    state.x = trial.x_comb
+    state.Ax = trial.Ax_comb
+    state.F_x = trial.F_comb
     state.z = (1.0 - theta) * state.z + theta * trial.y
     state.Az = (1.0 - theta) * state.Az + theta * trial.Ay
 
@@ -205,6 +239,7 @@ def commit(state, instance, trial):
         state.history.append((t, trial.y.copy(), s.copy(), trial.g.copy()))
 
     state.s_prev = s
+    state.y_side.clear()
     state.T.add(t)
     state.k += 1
     state.last_t = t
@@ -257,18 +292,17 @@ def segment_excess(instance, x, g, s, theta):
     return D_f + psi.value(comb) - (1.0 - theta) * psi.value(x) - theta * psi.value(s)
 
 
-def identity_residuals(state, instance):
+def identity_residuals(state, instance, dstar):
     """Relative residuals of the two running identities (subgradient and
-    gradient form), each scaled by max(1, |RHS|)."""
+    gradient form), each scaled by max(1, |RHS|); dstar is d_conjugate's
+    value at the state."""
     T = state.T.total
-    dstar = d_conjugate(state, instance)
     lhs1 = (state.Sfy.total + state.Spsiy.total
             + state.Cf.total + state.Cpsi.total) / T + dstar
     rhs1 = state.Ssub.total / T
     res1 = abs(lhs1 - rhs1) / max(1.0, abs(rhs1))
 
-    primal_x = instance.f.value(state.Ax) + instance.psi.value(state.x)
-    lhs2 = primal_x + (state.Cf.total + state.Cpsi.total) / T + dstar
+    lhs2 = state.F_x + (state.Cf.total + state.Cpsi.total) / T + dstar
     rhs2 = state.Sgrad.total / T
     res2 = abs(lhs2 - rhs2) / max(1.0, abs(rhs2))
     return res1, res2
@@ -284,7 +318,7 @@ def certificate(state, instance, mode="x", bound=None):
         raise ValueError("certificates require at least one iteration")
     T = state.T.total
     if mode == "x":
-        primal = instance.f.value(state.Ax) + instance.psi.value(state.x)
+        primal = state.F_x
         delta = state.Sgrad.total / T
     elif mode == "z":
         primal = instance.f.value(state.Az) + instance.psi.value(state.z)
@@ -302,7 +336,7 @@ def certificate(state, instance, mode="x", bound=None):
     # Plain Fenchel dual value at the averaged gradient; a true lower bound
     # on the optimum, unlike the perturbed surrogate above.
     plain_dual = -fstar - instance.psi.conjugate(-Astar_u)
-    res1, res2 = identity_residuals(state, instance)
+    res1, res2 = identity_residuals(state, instance, dstar)
     return Certificate(primal=primal, dual_surrogate=dual, gap=primal - dual,
                        delta=delta, thm1_residual=res1, thm2_residual=res2,
                        bound=bound, weak_gap=primal - plain_dual)

@@ -22,9 +22,19 @@ from .trace import Trace, TraceRow
 
 DEFAULT_TOL = 1e-8
 
+# Certificate columns of the rows an unchecked run does not certify.
+_NAN = float("nan")
+_UNCERTIFIED = engine.Certificate(
+    primal=_NAN, dual_surrogate=_NAN, gap=_NAN, delta=_NAN,
+    thm1_residual=_NAN, thm2_residual=_NAN)
+
 
 class IncompatibleConfig(ValueError):
     pass
+
+
+class ReferenceBracketError(ValueError):
+    """A reference run's final certificate does not bracket the optimum."""
 
 
 @dataclass
@@ -187,6 +197,11 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
     reference, when given, is an (value, point) pair used to evaluate the
     convergence bounds; the bound column stays empty without it (except for
     the conditional-gradient bound, which needs no optimum).
+
+    Unchecked runs certify only the final iterate: with check=False every
+    row still carries k, t, theta, bound and cggap, but the certificate
+    columns are NaN on all rows but the last.  The last certificate is kept
+    as ``trace.final_certificate`` (None for a run of zero iterations).
     """
     validate_compatibility(instance, config)
     t0 = time.perf_counter()
@@ -200,11 +215,15 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
 
     trace = Trace(instance.name, config.name, reference_value=ref_value)
     prev_t = None
+    cert = None
     for k in range(config.iterations):
         trial, prev_t = _select_and_commit(state, instance, config, k, prev_t)
         bound = rate_bound(config, instance, state.k, aux)
-        cert = engine.certificate(state, instance, mode=config.reported,
-                                  bound=bound)
+        if check or state.k == config.iterations:
+            cert = engine.certificate(state, instance, mode=config.reported,
+                                      bound=bound)
+        else:
+            cert = _UNCERTIFIED
         cggap = state.cggap if instance.zero_reference else None
         trace.append(TraceRow(
             k=state.k, t=trial.t, theta=trial.theta, primal=cert.primal,
@@ -216,6 +235,7 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
                        ref_value, tol)
     trace.wall_time_ms = 1000.0 * (time.perf_counter() - t0)
     trace.state = state
+    trace.final_certificate = cert
     return trace
 
 
@@ -279,7 +299,14 @@ def compatible_configs(instance, iterations):
 
 def reference_run(instance, budget):
     """High-accuracy run of the best matching method; the result is
-    certificate-bracketed (dual surrogate <= optimum <= primal)."""
+    certificate-bracketed (dual surrogate <= optimum <= primal).
+
+    The bracket is checked on the run's final certificate before the value
+    is returned: primal, dual surrogate, delta and both identity residuals
+    must be finite, the plain weak-duality gap at least -1e-9 (+inf is
+    allowed) and both residuals at most DEFAULT_TOL.  Otherwise
+    ReferenceBracketError is raised.
+    """
     if instance.name == "simplex-quadratic" and not isinstance(
             instance.h, SquaredEuclidean):
         # The Euclidean twin shares f, Psi, and constants and admits the
@@ -296,6 +323,27 @@ def reference_run(instance, budget):
         if isinstance(c, FastGradient):
             config = c
     trace = run(instance, config, check=False)
+    _check_bracket(instance, config, trace.final_certificate)
     state = trace.state
     point = state.x if config.reported == "x" else state.z
     return instance.primal_value(point), point
+
+
+def _check_bracket(instance, config, cert):
+    where = "reference run (%s, %s)" % (instance.name, config.name)
+    if cert is None:
+        raise ReferenceBracketError("%s: no iterations to certify" % where)
+    for name in ("primal", "dual_surrogate", "delta", "thm1_residual",
+                 "thm2_residual"):
+        value = getattr(cert, name)
+        if not math.isfinite(value):
+            raise ReferenceBracketError("%s: non-finite %s: %r"
+                                        % (where, name, value))
+    if not (cert.weak_gap >= -1e-9):
+        raise ReferenceBracketError("%s: weak duality violated: gap=%r"
+                                    % (where, cert.weak_gap))
+    for name in ("thm1_residual", "thm2_residual"):
+        value = getattr(cert, name)
+        if not (value <= DEFAULT_TOL):
+            raise ReferenceBracketError("%s: %s %.3e exceeds %g"
+                                        % (where, name, value, DEFAULT_TOL))

@@ -80,10 +80,13 @@ class BoxIndicator(SimpleFunction):
         self.hi = np.asarray(hi, dtype=float)
         if np.any(self.lo > self.hi):
             raise ValueError("empty box")
+        # Membership bounds, widened by FEAS_TOL relative to the bound size.
+        scale = 1.0 + np.maximum(np.abs(self.lo), np.abs(self.hi))
+        self._lo_feas = self.lo - FEAS_TOL * scale
+        self._hi_feas = self.hi + FEAS_TOL * scale
 
     def value(self, x):
-        scale = 1.0 + np.maximum(np.abs(self.lo), np.abs(self.hi))
-        if np.all(x >= self.lo - FEAS_TOL * scale) and np.all(x <= self.hi + FEAS_TOL * scale):
+        if ((x >= self._lo_feas) & (x <= self._hi_feas)).all():
             return 0.0
         return INF
 

@@ -87,6 +87,10 @@ def test_run_unreadable_config_exits_1(tmp_path):
     {"tolerance": "1e-8"},
     {"tolerance": None},
     {"tolerance": -1e-8},
+    {"reference_budget": 0},
+    {"reference_budget": -1},
+    {"reference_budget": "5"},
+    {"reference_budget": 2.5},
 ], ids=repr)
 def test_run_bad_value_exits_1(tmp_path, capsys, overrides):
     cfgpath = _write_config(tmp_path / "cfg.json", **overrides)
@@ -117,6 +121,25 @@ def test_run_fault_injection_exits_2(tmp_path):
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["violations"]
+
+
+def test_run_bad_reference_bracket_exits_2(tmp_path, capsys, monkeypatch):
+    from fomcert import engine
+    real = engine.certificate
+
+    def nan_certificate(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        cert.primal = float("nan")
+        return cert
+
+    monkeypatch.setattr(engine, "certificate", nan_certificate)
+    cfgpath = _write_config(tmp_path / "cfg.json", reference=True,
+                            reference_budget=50)
+    assert cli.main(["run", "--config", str(cfgpath),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("reference error: "), err
+    assert "non-finite primal" in err[0]
 
 
 def _lasso_L():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fomcert.engine import (
     combination_excess,
     segment_excess,
 )
-from fomcert.problems import make_instance
+from fomcert.problems import REGISTRY_NAMES, make_instance
 
 from conftest import quadratic_1d
 
@@ -174,3 +176,42 @@ def test_cggap_recursion_matches_incremental():
         assert abs(state.cggap - direct) <= 1e-12 * max(1.0, abs(direct))
         cert = certificate(state, inst, mode="x")
         assert cert.gap <= state.cggap + 1e-8
+
+
+_SELECTORS = (PROX_POINT, CURRENT_AVERAGE, FAST_COMBO)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_cached_trials_match_fresh_proposals(name):
+    # Proposing at t1 and then t2 within one iteration, the selectors
+    # interleaved, gives the same trial at t2, bit for bit, as a proposal
+    # at t2 on a state that has not proposed yet this iteration.
+    inst = make_instance(name, seed=2)
+    con = inst.constants
+    t2 = 0.2 / con.get("L", con.get("M"))
+    t1 = 2.5 * t2
+    state = init(inst)
+    for k in range(4):
+        fresh = copy.deepcopy(state)
+        first = {ysel: engine.propose(state, inst, ysel, t1) for ysel in _SELECTORS}
+        second = {ysel: engine.propose(state, inst, ysel, t2) for ysel in _SELECTORS}
+        for ysel in _SELECTORS:
+            expect = engine.propose(copy.deepcopy(fresh), inst, ysel, t2)
+            for field in engine.TrialStep.__slots__:
+                assert _same_bits(getattr(second[ysel], field),
+                                  getattr(expect, field)), (k, ysel, field)
+            if ysel != FAST_COMBO:
+                assert second[ysel].g is first[ysel].g  # computed once
+        # The reused y-side belongs to this iteration's state.
+        for ysel, y in ((PROX_POINT, state.s_prev), (CURRENT_AVERAGE, state.x)):
+            trial = second[ysel]
+            assert _same_bits(trial.y, y)
+            assert _same_bits(trial.Ay, inst.A.apply(y))
+            assert trial.fAy == inst.f.value(trial.Ay)
+            assert trial.psi_y == inst.psi.value(y)
+        engine.commit(state, inst, second[(PROX_POINT, FAST_COMBO)[k % 2]])

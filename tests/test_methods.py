@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,15 +13,18 @@ from fomcert.methods import (
     IncompatibleConfig,
     ProxGradient,
     ProxSubgradient,
+    ReferenceBracketError,
     UniversalGradient,
     _check_row,
+    _select_and_commit,
     compatible_configs,
     rate_bound,
+    reference_run,
     run,
     subgradient_rhs_check,
     validate_compatibility,
 )
-from fomcert.problems import make_instance
+from fomcert.problems import REGISTRY_NAMES, make_instance
 from fomcert.trace import Trace
 
 from conftest import quadratic_1d
@@ -192,3 +196,72 @@ def test_check_row_fails_closed(field, value):
         assert found == []  # -A*u outside dom(Psi*), as Certificate documents
     else:
         assert found[0].startswith("weak duality violated at k=3")
+
+
+def _registry_configs(iterations):
+    for name in REGISTRY_NAMES:
+        inst = make_instance(name, seed=0)
+        for config in compatible_configs(inst, iterations):
+            label = "%s:%s" % (name, config.name)
+            if hasattr(config, "schedule"):
+                label += ":" + config.schedule
+            yield pytest.param(name, config, id=label)
+
+
+@pytest.mark.parametrize("name,config", _registry_configs(40))
+def test_state_objective_matches_fresh_evaluation(name, config):
+    # F(x_k) carried on the state equals a fresh evaluation at the iterate.
+    inst = make_instance(name, seed=0)
+    state = engine.init(inst)
+    prev_t = None
+    for k in range(config.iterations + 1):
+        if k:
+            _, prev_t = _select_and_commit(state, inst, config, k - 1, prev_t)
+        assert state.F_x == inst.f.value(state.Ax) + inst.psi.value(state.x), k
+
+
+_ROW_ONLY = ("k", "t", "theta", "bound", "cggap")
+_CERT_COLUMNS = ("primal", "dual_surrogate", "gap", "delta", "thm1_residual",
+                 "thm2_residual")
+
+
+@pytest.mark.parametrize("name,config", _registry_configs(40))
+def test_unchecked_run_certifies_only_the_final_iterate(name, config):
+    inst = make_instance(name, seed=0)
+    checked = run(inst, config, reference=inst.known_optimum)
+    unchecked = run(inst, config, reference=inst.known_optimum, check=False)
+    assert len(unchecked.rows) == len(checked.rows) == config.iterations
+    for a, b in zip(checked.rows, unchecked.rows):
+        assert [getattr(a, f) for f in _ROW_ONLY] == [getattr(b, f) for f in _ROW_ONLY]
+    for row in unchecked.rows[:-1]:
+        assert all(math.isnan(getattr(row, f)) for f in _CERT_COLUMNS)
+    assert unchecked.final == checked.final
+    assert unchecked.final_certificate == checked.final_certificate
+    assert unchecked.state.x.tobytes() == checked.state.x.tobytes()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("primal", float("nan")),
+    ("dual_surrogate", float("nan")),
+    ("delta", float("inf")),
+    ("thm1_residual", float("nan")),
+    ("thm2_residual", float("nan")),
+    ("weak_gap", float("nan")),
+    ("weak_gap", -1e-6),
+    ("thm1_residual", 1e-6),
+    ("thm2_residual", 1e-6),
+])
+def test_reference_run_rejects_bad_bracket(monkeypatch, field, value):
+    real = engine.certificate
+
+    def bad_certificate(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), **{field: value})
+
+    monkeypatch.setattr(engine, "certificate", bad_certificate)
+    with pytest.raises(ReferenceBracketError):
+        reference_run(make_instance("lasso", seed=0), 50)
+
+
+def test_reference_run_rejects_zero_budget():
+    with pytest.raises(ReferenceBracketError):
+        reference_run(make_instance("lasso", seed=0), 0)
