@@ -94,10 +94,18 @@ def _load_run_config(path):
     if "reference_budget" in cfg:
         _check_positive_int(cfg["reference_budget"], "reference_budget")
     spec = cfg["method"]
+    if not isinstance(spec, dict):
+        raise ConfigError("method must be an object, got %r" % (spec,))
     if "r" in spec:
         _check_number(spec["r"], "r", 1.0, strict=True)
     if "gamma" in spec:
         _check_number(spec["gamma"], "gamma", 1.0)
+    for key in ("t_init", "C", "eps", "nu"):
+        if key in spec:
+            _check_number(spec[key], key, 0.0, strict=True)
+    if spec.get("schedule", "theta") not in ("theta", "linesearch"):
+        raise ConfigError("schedule must be 'theta' or 'linesearch', got %r"
+                          % (spec["schedule"],))
     return cfg
 
 

@@ -283,13 +283,33 @@ def combination_excess(instance, x, y, g, s, theta):
     return F(comb) - (1.0 - theta) * F(x) - theta * F(s) + theta * D_fa
 
 
-def segment_excess(instance, x, g, s, theta):
-    """Simplified excess along the segment from x to s (the y = x case)."""
-    A, f, psi = instance.A, instance.f, instance.psi
-    comb = x + theta * (s - x)
-    Ax, Acomb = A.apply(x), A.apply(comb)
-    D_f = f.value(Acomb) - f.value(Ax) - theta * float(g @ (A.apply(s) - Ax))
-    return D_f + psi.value(comb) - (1.0 - theta) * psi.value(x) - theta * psi.value(s)
+def segment_ends(instance, x, g, s):
+    """The theta-independent terms of segment_excess along x -> s.
+
+    Returns the tuple (s - x, f(Ax), <g, As - Ax>, Psi(x), Psi(s)): two
+    A-applications, one f and two Psi evaluations, paid once per segment.
+    """
+    A = instance.A
+    Ax = A.apply(x)
+    return (s - x, instance.f.value(Ax), float(g @ (A.apply(s) - Ax)),
+            instance.psi.value(x), instance.psi.value(s))
+
+
+def segment_excess(instance, x, g, s, theta, ends=None):
+    """Simplified excess along the segment from x to s (the y = x case).
+
+    ends is segment_ends(instance, x, g, s), computed here when omitted.  A
+    caller evaluating many theta on one segment passes it in, so that each
+    call costs one A-application, one f and one Psi evaluation (at the
+    combination point) instead of three, two and three; the result is
+    bitwise the same either way.
+    """
+    if ends is None:
+        ends = segment_ends(instance, x, g, s)
+    d, fAx, slope, psi_x, psi_s = ends
+    comb = x + theta * d
+    D_f = instance.f.value(instance.A.apply(comb)) - fAx - theta * slope
+    return D_f + instance.psi.value(comb) - (1.0 - theta) * psi_x - theta * psi_s
 
 
 def identity_residuals(state, instance, dstar):

@@ -4,7 +4,7 @@ backtracking for the descent conditions, and the CG line search."""
 from dataclasses import dataclass
 
 from . import engine
-from .engine import propose, segment_excess
+from .engine import propose, segment_ends, segment_excess
 from .prox import NotAdmissible
 from .reference import DomainError
 
@@ -117,8 +117,17 @@ def backtrack(state, instance, ysel, rule, t_start=None):
 
 
 def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10):
-    """Golden-section minimization of (1-theta)*CGgap + D(x, s, theta) on [0,1]."""
-    phi = lambda theta: (1.0 - theta) * cggap + segment_excess(instance, x, g, s, theta)
+    """Golden-section minimization of (1-theta)*CGgap + D(x, s, theta) on [0,1].
+
+    The segment's theta-independent terms (segment_ends) are computed once;
+    each of the evals trial thetas then costs one segment_excess call, i.e.
+    one A-application, one f and one Psi evaluation at the combination
+    point.  A whole search makes evals + 2 A-applications, evals + 1 f and
+    evals + 2 Psi evaluations.
+    """
+    ends = segment_ends(instance, x, g, s)
+    phi = lambda theta: (1.0 - theta) * cggap + segment_excess(
+        instance, x, g, s, theta, ends=ends)
     invphi = (5 ** 0.5 - 1) / 2
     lo, hi = 0.0, 1.0
     a = hi - invphi * (hi - lo)

@@ -23,3 +23,14 @@ def quadratic_1d(start=1.0, curvature=1.0):
 @pytest.fixture
 def quad1d():
     return quadratic_1d()
+
+
+def segment_excess_unhoisted(instance, x, g, s, theta):
+    """The segment excess with every term evaluated at each call (three
+    A-applications, two f and three Psi evaluations), in the arithmetic
+    order engine.segment_excess must reproduce bit for bit."""
+    A, f, psi = instance.A, instance.f, instance.psi
+    comb = x + theta * (s - x)
+    Ax, Acomb = A.apply(x), A.apply(comb)
+    D_f = f.value(Acomb) - f.value(Ax) - theta * float(g @ (A.apply(s) - Ax))
+    return D_f + psi.value(comb) - (1.0 - theta) * psi.value(x) - theta * psi.value(s)

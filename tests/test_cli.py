@@ -91,12 +91,45 @@ def test_run_unreadable_config_exits_1(tmp_path):
     {"reference_budget": -1},
     {"reference_budget": "5"},
     {"reference_budget": 2.5},
+    {"method": "fast_gradient"},
+    {"method": ["prox_gradient"]},
+    {"method": None},
+    {"instance": {"name": "cg-ball", "seed": 0},
+     "method": {"name": "conditional_subgradient", "schedule": "linesearh"}},
+    {"instance": {"name": "cg-ball", "seed": 0},
+     "method": {"name": "conditional_subgradient", "schedule": None}},
+    {"method": {"name": "prox_gradient", "t_init": 0}},
+    {"method": {"name": "prox_gradient", "t_init": "1"}},
+    {"method": {"name": "fast_gradient", "t_init": -1.0}},
+    {"method": {"name": "prox_gradient", "t_init": float("inf")}},
+    {"instance": {"name": "l1-regression", "seed": 0},
+     "method": {"name": "prox_subgradient", "C": -1}},
+    {"instance": {"name": "l1-regression", "seed": 0},
+     "method": {"name": "prox_subgradient", "C": 0.0}},
+    {"instance": {"name": "holder", "seed": 0},
+     "method": {"name": "universal_gradient", "eps": 0}},
+    {"instance": {"name": "holder", "seed": 0},
+     "method": {"name": "universal_gradient", "eps": "1e-3"}},
+    {"instance": {"name": "holder", "seed": 0},
+     "method": {"name": "universal_gradient", "eps": float("nan")}},
+    {"instance": {"name": "cg-ball", "seed": 0},
+     "method": {"name": "conditional_subgradient", "nu": "x"}},
+    {"instance": {"name": "cg-ball", "seed": 0},
+     "method": {"name": "conditional_subgradient", "nu": -0.5}},
+    {"instance": {"name": "cg-ball", "seed": 0},
+     "method": {"name": "conditional_subgradient", "nu": True}},
 ], ids=repr)
 def test_run_bad_value_exits_1(tmp_path, capsys, overrides):
+    # The one stderr line names the offending key: the last top-level key
+    # overridden, or within a method object its last key other than name.
+    key, value = list(overrides.items())[-1]
+    if key == "method" and isinstance(value, dict):
+        key = [k for k in value if k != "name"][-1]
     cfgpath = _write_config(tmp_path / "cfg.json", **overrides)
     assert cli.main(["run", "--config", str(cfgpath)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert len(err) == 1, err
+    assert err[0].startswith("config error: %s must be " % key), err
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "-1"])

@@ -15,11 +15,12 @@ from fomcert.engine import (
     init,
     iterate,
     combination_excess,
+    segment_ends,
     segment_excess,
 )
-from fomcert.problems import REGISTRY_NAMES, make_instance
+from fomcert.problems import REGISTRY_NAMES, SplitMix64, make_instance
 
-from conftest import quadratic_1d
+from conftest import quadratic_1d, segment_excess_unhoisted
 
 
 def test_one_exact_gradient_step_solves_quadratic(quad1d):
@@ -142,6 +143,21 @@ def test_segment_excess_nonnegative_on_curvature_instance():
         theta = r.uniform()
         g = inst.f.subgradient(inst.A.apply(x))
         assert segment_excess(inst, x, g, s, theta) >= -1e-12
+
+
+@pytest.mark.parametrize("name", ["cg-ball", "lasso"])
+def test_segment_excess_with_ends_is_bitwise_unhoisted(name):
+    # cg-ball: identity map, l1-ball indicator Psi; lasso: dense map, l1 Psi.
+    inst = make_instance(name, seed=3)
+    r = SplitMix64(17)
+    for _ in range(10):
+        x, s = inst.sampler(r), inst.sampler(r)
+        g = inst.f.subgradient(inst.A.apply(x))
+        ends = segment_ends(inst, x, g, s)
+        for theta in (0.0, 1.0, 0.5, 1e-9, 0.381966011250105, r.uniform()):
+            want = segment_excess_unhoisted(inst, x, g, s, theta)
+            assert segment_excess(inst, x, g, s, theta, ends=ends) == want
+            assert segment_excess(inst, x, g, s, theta) == want
 
 
 def test_infeasible_start_rejected():

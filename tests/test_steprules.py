@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fomcert import engine
+from fomcert import engine, steprules
 from fomcert.engine import PROX_POINT, init, propose
-from fomcert.problems import make_instance
+from fomcert.problems import SplitMix64, make_instance
 from fomcert.steprules import (
     BacktrackFailed,
     BacktrackSmooth,
@@ -19,7 +19,7 @@ from fomcert.steprules import (
     theta_from_history,
 )
 
-from conftest import quadratic_1d
+from conftest import quadratic_1d, segment_excess_unhoisted
 
 
 def test_theta_t_correspondence():
@@ -164,6 +164,74 @@ def test_linesearch_flat_objective_deterministic(quad1d):
     a = linesearch_cg(quad1d, x, g, x, cggap=0.0)
     b = linesearch_cg(quad1d, x, g, x, cggap=0.0)
     assert a == b and 0.0 <= a <= 1.0
+
+
+def _golden_section_unhoisted(instance, x, g, s, cggap):
+    """The line search, at its default max_iters and interval_tol, as an
+    inline loop over the unhoisted excess."""
+    phi = lambda th: (1.0 - th) * cggap + segment_excess_unhoisted(
+        instance, x, g, s, th)
+    invphi = (5 ** 0.5 - 1) / 2
+    lo, hi = 0.0, 1.0
+    a = hi - invphi * (hi - lo)
+    b = lo + invphi * (hi - lo)
+    fa, fb = phi(a), phi(b)
+    for _ in range(64):
+        if hi - lo < 1e-10:
+            break
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - invphi * (hi - lo)
+            fa = phi(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + invphi * (hi - lo)
+            fb = phi(b)
+    return 0.5 * (lo + hi)
+
+
+def _cg_ball_segments(count):
+    inst = make_instance("cg-ball", seed=0)
+    r = SplitMix64(5)
+    for i in range(count):
+        x = inst.sampler(r)
+        g = inst.f.subgradient(inst.A.apply(x))
+        s = (inst.psi.linmin(inst.A.adjoint_apply(g)) if i % 2
+             else inst.sampler(r))
+        yield inst, x, g, s, (0.0, 1e-6, 0.3, 5.0)[i % 4]
+
+
+def test_linesearch_matches_unhoisted_golden_section():
+    for inst, x, g, s, cggap in _cg_ball_segments(12):
+        assert (linesearch_cg(inst, x, g, s, cggap)
+                == _golden_section_unhoisted(inst, x, g, s, cggap))
+
+
+def test_linesearch_evaluates_segment_ends_once(monkeypatch):
+    calls = {"A": 0, "f": 0, "psi": 0, "evals": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(steprules, "segment_excess",
+                        counting("evals", steprules.segment_excess))
+    segments = list(_cg_ball_segments(4))
+    inst = segments[0][0]  # one instance shared by every segment
+    monkeypatch.setattr(inst.A, "apply", counting("A", inst.A.apply))
+    monkeypatch.setattr(inst.f, "value", counting("f", inst.f.value))
+    monkeypatch.setattr(inst.psi, "value", counting("psi", inst.psi.value))
+    for _, x, g, s, cggap in segments:
+        for key in calls:
+            calls[key] = 0
+        linesearch_cg(inst, x, g, s, cggap)
+        evals = calls["evals"]
+        assert evals > 2
+        assert calls["A"] == evals + 2
+        assert calls["f"] == evals + 1
+        assert calls["psi"] == evals + 2
 
 
 @pytest.mark.parametrize("gamma,L", [(1.5, 1.0), (2.0, 1.0), (2.0, 10.0)])
