@@ -10,33 +10,12 @@ import sys
 import numpy as np
 
 from . import methods, problems, trace as trace_mod
-from .methods import (
-    ConditionalSubgradient,
-    FastGradient,
-    IncompatibleConfig,
-    ProxGradient,
-    ProxSubgradient,
-    UniversalGradient,
-)
-from .steprules import BacktrackFailed, BacktrackSmooth, BacktrackUniversal
+from .methods import ConfigError, check_number
+from .steprules import BacktrackFailed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _check_number(value, what, lower, strict=False):
-    """Reject a config value that is not a finite real number at or above
-    lower (strictly above when strict)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or not (value > lower if strict else value >= lower)):
-        raise ConfigError("%s must be a finite number %s %g, got %r"
-                          % (what, ">" if strict else ">=", lower, value))
 
 
 def _check_positive_int(value, what):
@@ -53,32 +32,16 @@ def _default_tol():
         tol = float(env)
     except ValueError:
         raise ConfigError("FOM_TOL must be a number, got %r" % env)
-    _check_number(tol, "FOM_TOL", 0.0)
+    check_number(tol, "FOM_TOL", 0.0)
     return tol
 
 
 def config_from_dict(spec, iterations):
-    name = spec.get("name")
-    if name == "conditional_subgradient":
-        return ConditionalSubgradient(
-            iterations=iterations, nu=spec.get("nu", 1.0),
-            schedule=spec.get("schedule", "theta"))
-    if name == "prox_gradient":
-        return ProxGradient(iterations=iterations, rule=BacktrackSmooth(
-            r=spec.get("r", 2.0), t_init=spec.get("t_init", 1.0)))
-    if name == "prox_subgradient":
-        return ProxSubgradient(iterations=iterations, C=spec.get("C", 1.0))
-    if name == "fast_gradient":
-        return FastGradient(iterations=iterations, gamma=spec.get("gamma", 2.0),
-                            rule=BacktrackSmooth(r=spec.get("r", 2.0),
-                                                 t_init=spec.get("t_init", 1.0)))
-    if name == "universal_gradient":
-        return UniversalGradient(
-            iterations=iterations, eps=spec.get("eps", 1e-3),
-            rule=BacktrackUniversal(eps=spec.get("eps", 1e-3),
-                                    r=spec.get("r", 2.0),
-                                    t_init=spec.get("t_init", 1.0)))
-    raise ConfigError("unknown method %r" % (name,))
+    """The method config a JSON method spec describes."""
+    method = methods.METHODS.get(spec.get("name"))
+    if method is None:
+        raise ConfigError("unknown method %r" % (spec.get("name"),))
+    return method.from_spec(spec, iterations)
 
 
 def _load_run_config(path):
@@ -93,19 +56,8 @@ def _load_run_config(path):
     _check_positive_int(cfg["iterations"], "iterations")
     if "reference_budget" in cfg:
         _check_positive_int(cfg["reference_budget"], "reference_budget")
-    spec = cfg["method"]
-    if not isinstance(spec, dict):
-        raise ConfigError("method must be an object, got %r" % (spec,))
-    if "r" in spec:
-        _check_number(spec["r"], "r", 1.0, strict=True)
-    if "gamma" in spec:
-        _check_number(spec["gamma"], "gamma", 1.0)
-    for key in ("t_init", "C", "eps", "nu"):
-        if key in spec:
-            _check_number(spec[key], key, 0.0, strict=True)
-    if spec.get("schedule", "theta") not in ("theta", "linesearch"):
-        raise ConfigError("schedule must be 'theta' or 'linesearch', got %r"
-                          % (spec["schedule"],))
+    if not isinstance(cfg["method"], dict):
+        raise ConfigError("method must be an object, got %r" % (cfg["method"],))
     return cfg
 
 
@@ -119,10 +71,10 @@ def cmd_run(args):
         # Declared-constant overrides, mainly for fault-injection checks.
         instance.constants.update(inst_spec.get("constants", {}))
         config = config_from_dict(cfg["method"], cfg["iterations"])
-        methods.validate_compatibility(instance, config)
+        config.check_compatible(instance)
         tol = cfg.get("tolerance", _default_tol())
-        _check_number(tol, "tolerance", 0.0)
-    except (ConfigError, KeyError, IncompatibleConfig, TypeError) as exc:
+        check_number(tol, "tolerance", 0.0)
+    except (ConfigError, KeyError, TypeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
@@ -159,8 +111,9 @@ def cmd_run(args):
 
 def cmd_verify(args):
     try:
+        _check_positive_int(args.samples, "samples")
         instance = problems.make_instance(args.instance, seed=args.seed)
-    except KeyError as exc:
+    except (ConfigError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     overrides = {}
@@ -195,15 +148,6 @@ def fit_tail_slope(rows, reference_value, tail_fraction=0.5):
     return slope
 
 
-_THEORY_EXPONENT = {
-    "prox_gradient": -1.0,
-    "prox_subgradient": -0.5,
-    "fast_gradient": -2.0,
-    "conditional_subgradient": -1.0,
-    "universal_gradient": None,  # depends on nu; reported from the summary
-}
-
-
 def cmd_rates(args):
     try:
         rows = trace_mod.read_csv(args.trace)
@@ -225,7 +169,8 @@ def cmd_rates(args):
         "rows": len(rows),
         "tail_fraction": args.tail,
         "fitted_slope": slope,
-        "theory_exponent": _THEORY_EXPONENT.get(summary.get("method")),
+        "theory_exponent": getattr(methods.METHODS.get(summary.get("method")),
+                                   "theory_exponent", None),
     }
     print(json.dumps(report, indent=2))
     return EXIT_OK

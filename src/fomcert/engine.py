@@ -142,6 +142,24 @@ def _y_side(instance, y):
     return Ay, g, A.adjoint_apply(g)
 
 
+def cached_y_side(state, instance, ysel):
+    """(y, Ay, g, c, f(Ay), Psi(y)) for PROX_POINT or CURRENT_AVERAGE, whose
+    y does not depend on t: computed once per iteration, kept on the state
+    until commit."""
+    cached = state.y_side.get(ysel)
+    if cached is None:
+        if ysel == PROX_POINT:
+            y = state.s_prev
+        elif ysel == CURRENT_AVERAGE:
+            y = state.x
+        else:
+            raise ValueError("unknown y selector: %r" % (ysel,))
+        Ay, g, c = _y_side(instance, y)
+        cached = (y, Ay, g, c, instance.f.value(Ay), instance.psi.value(y))
+        state.y_side[ysel] = cached
+    return cached
+
+
 def propose(state, instance, ysel, t):
     """Solve one candidate iteration at step size t without committing it.
 
@@ -156,37 +174,20 @@ def propose(state, instance, ysel, t):
     if ysel == FAST_COMBO:
         y = (1.0 - theta) * state.x + theta * state.s_prev
         Ay, g, c = _y_side(instance, y)
-        fAy = psi_y = None
+        fAy, psi_y = instance.f.value(Ay), instance.psi.value(y)
     else:
-        cached = state.y_side.get(ysel)
-        if cached is None:
-            if ysel == PROX_POINT:
-                y = state.s_prev
-            elif ysel == CURRENT_AVERAGE:
-                y = state.x
-            else:
-                raise ValueError("unknown y selector: %r" % (ysel,))
-            Ay, g, c = _y_side(instance, y)
-            cached = (y, Ay, g, c, instance.f.value(Ay), instance.psi.value(y))
-            state.y_side[ysel] = cached
-        y, Ay, g, c, fAy, psi_y = cached
+        y, Ay, g, c, fAy, psi_y = cached_y_side(state, instance, ysel)
 
     s, g_psi = prox_step(instance, c, t, state.s_prev)
     return finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay,
                         fAy, psi_y)
 
 
-def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay,
-                 fAy=None, psi_y=None):
-    """Evaluate the objective pieces a trial needs for its descent terms.
-
-    fAy = f(Ay) and psi_y = Psi(y) are computed when the caller has not.
-    """
+def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay, fAy,
+                 psi_y):
+    """Evaluate the objective pieces a trial needs for its descent terms,
+    given fAy = f(Ay) and psi_y = Psi(y)."""
     A, f, psi, h = instance.A, instance.f, instance.psi, instance.h
-    if fAy is None:
-        fAy = f.value(Ay)
-    if psi_y is None:
-        psi_y = psi.value(y)
     As = A.apply(s)
     fAs = f.value(As)
     psi_s = psi.value(s)

@@ -5,14 +5,13 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from . import engine, steprules
+from . import engine
 from .engine import CURRENT_AVERAGE, FAST_COMBO, PROX_POINT
 from .oracles import ProblemInstance
 from .reference import SquaredEuclidean
 from .steprules import (
     BacktrackSmooth,
     BacktrackUniversal,
-    LineSearchCG,
     backtrack,
     cg_theta,
     linesearch_cg,
@@ -29,7 +28,11 @@ _UNCERTIFIED = engine.Certificate(
     thm1_residual=_NAN, thm2_residual=_NAN)
 
 
-class IncompatibleConfig(ValueError):
+class ConfigError(ValueError):
+    """A run config has an unknown key or a value out of range."""
+
+
+class IncompatibleConfig(ConfigError):
     pass
 
 
@@ -37,58 +40,238 @@ class ReferenceBracketError(ValueError):
     """A reference run's final certificate does not bracket the optimum."""
 
 
+def check_number(value, what, lower, strict=False):
+    """Reject a config value that is not a finite real number at or above
+    lower (strictly above when strict)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or not (value > lower if strict else value >= lower)):
+        raise ConfigError("%s must be a finite number %s %g, got %r"
+                          % (what, ">" if strict else ">=", lower, value))
+
+
+# The range of each numeric JSON method key: (lower limit, strict).
+_KEY_LIMITS = {"r": (1.0, True), "gamma": (1.0, False), "t_init": (0.0, True),
+               "C": (0.0, True), "eps": (0.0, True), "nu": (0.0, True)}
+
+
+def _read_spec(spec, name, **defaults):
+    """The values of a JSON method spec over the method's defaults."""
+    values = dict(defaults)
+    for key, value in spec.items():
+        if key == "name":
+            continue
+        if key not in defaults:
+            raise ConfigError("%s is not a %s key (it reads %s)"
+                              % (key, name, ", ".join(sorted(defaults))))
+        if key in _KEY_LIMITS:
+            check_number(value, key, *_KEY_LIMITS[key])
+        values[key] = value
+    return values
+
+
+class _Method:
+    """One step rule and one rate bound on the shared engine.
+
+    Each method also has the classmethod from_spec(spec, iterations): the
+    config a JSON method spec describes.  It raises ConfigError for a key
+    the method does not read or a value out of range.
+    """
+
+    reported = "x"  # the certificate mode
+    bound_kind = "suboptimality"
+    zero_reference = False
+    needs_gradient = True
+
+    @classmethod
+    def presets(cls, instance, iterations):
+        """The configs compatible_configs offers on the instance."""
+        return [cls(iterations)] if instance.condition == cls.condition else []
+
+    def check_compatible(self, instance):
+        """Raise IncompatibleConfig unless the method can run on the
+        instance and the instance declares every constant the bound reads."""
+        if instance.zero_reference != self.zero_reference:
+            raise IncompatibleConfig("%s needs a %s reference function" % (
+                self.name, "zero" if self.zero_reference else "nonzero"))
+        if self.needs_gradient and not instance.f.differentiable:
+            raise IncompatibleConfig("%s needs a differentiable smooth part"
+                                     % self.name)
+        missing = [c for c in self.needs if c not in instance.constants]
+        if missing:
+            raise IncompatibleConfig("the %s bound reads %s, which %s does not "
+                                     "declare" % (self.name, ", ".join(missing),
+                                                  instance.name))
+
+    def step(self, state, instance, k, prev_t):
+        """Commit iteration k under the step rule, given the step prev_t
+        accepted at k - 1 (None at k = 0); returns (trial, t)."""
+        # Backtracked rules, warm-started from the previously accepted step.
+        trial, _ = backtrack(state, instance, self.ysel, self.rule,
+                             t_start=prev_t)
+        engine.commit(state, instance, trial)
+        return trial, trial.t
+
+    def bound(self, instance, k, aux=None):
+        """The method's convergence bound at iteration k, given aux =
+        {"Dh0": D_h(x*, x_0)}; None without it."""
+        if aux is None or "Dh0" not in aux:
+            return None
+        return self._bound(instance.constants, k, aux["Dh0"])
+
+
 @dataclass
-class ConditionalSubgradient:
+class ConditionalSubgradient(_Method):
     iterations: int
-    nu: float = 1.0
+    nu: float = None  # must equal the instance's declared nu; None reads it
     schedule: str = "theta"  # "theta" or "linesearch"
-    linesearch: LineSearchCG = field(default_factory=LineSearchCG)
 
     name = "conditional_subgradient"
-    reported = "x"
     ysel = CURRENT_AVERAGE
+    condition = "curv.nu"
+    needs = ("M", "nu")
+    bound_kind = "gap"  # on the certified gap, with no reference optimum
+    theory_exponent = -1.0
+    zero_reference = True
+    needs_gradient = False
+
+    @classmethod
+    def from_spec(cls, spec, iterations):
+        opts = _read_spec(spec, cls.name, nu=None, schedule="theta")
+        if opts["schedule"] not in ("theta", "linesearch"):
+            raise ConfigError("schedule must be 'theta' or 'linesearch', got %r"
+                              % (opts["schedule"],))
+        return cls(iterations, **opts)
+
+    @classmethod
+    def presets(cls, instance, iterations):
+        return [c for theta in super().presets(instance, iterations)
+                for c in (theta, cls(iterations, schedule="linesearch"))]
+
+    def check_compatible(self, instance):
+        super().check_compatible(instance)
+        if not hasattr(instance.psi, "linmin"):
+            raise IncompatibleConfig("conditional subgradient needs a linmin oracle")
+        # The bound M ((1+nu)/(k+1+nu))^nu holds for the schedule's nu only
+        # when it is the curvature exponent, so step and bound read that one.
+        declared = instance.constants["nu"]
+        if self.nu is not None and self.nu != declared:
+            raise IncompatibleConfig("nu must equal the declared nu %r of %s, "
+                                     "got %r" % (declared, instance.name, self.nu))
+
+    def step(self, state, instance, k, prev_t):
+        if k == 0:
+            t = 1.0  # theta_0 = 1
+        elif self.schedule == "theta":
+            t = t_from_theta(cg_theta(k, instance.constants["nu"]),
+                             state.T.total)
+        else:
+            y, _, g, c, _, _ = engine.cached_y_side(state, instance, self.ysel)
+            theta = linesearch_cg(instance, y, g, instance.psi.linmin(c),
+                                  state.cggap)
+            theta = min(max(theta, 1e-12), 1.0 - 1e-9)
+            t = t_from_theta(theta, state.T.total)
+        trial = engine.propose(state, instance, self.ysel, t)
+        engine.commit(state, instance, trial)
+        return trial, t
+
+    def bound(self, instance, k, aux=None):
+        con = instance.constants
+        nu = con["nu"]
+        return con["M"] * ((1.0 + nu) / (k + 1.0 + nu)) ** nu
 
 
 @dataclass
-class ProxGradient:
+class ProxGradient(_Method):
     iterations: int
     rule: BacktrackSmooth = field(default_factory=BacktrackSmooth)
 
     name = "prox_gradient"
-    reported = "x"
     ysel = PROX_POINT
+    condition = "smooth.1"
+    needs = ("L",)
+    theory_exponent = -1.0
+
+    @classmethod
+    def from_spec(cls, spec, iterations):
+        opts = _read_spec(spec, cls.name, r=2.0, t_init=1.0)
+        return cls(iterations, rule=BacktrackSmooth(**opts))
+
+    def _bound(self, con, k, Dh0):
+        return self.rule.r * con["L"] * Dh0 / k
 
 
 @dataclass
-class ProxSubgradient:
+class ProxSubgradient(_Method):
     iterations: int  # the horizon K; t_i = C / sqrt(K) throughout
     C: float = 1.0
 
     name = "prox_subgradient"
     reported = "z"
     ysel = PROX_POINT
+    condition = "relcont"
+    needs = ("M",)
+    theory_exponent = -0.5
+    needs_gradient = False
+
+    @classmethod
+    def from_spec(cls, spec, iterations):
+        return cls(iterations, **_read_spec(spec, cls.name, C=1.0))
+
+    def step(self, state, instance, k, prev_t):
+        t = self.C / self.iterations ** 0.5
+        trial = engine.propose(state, instance, self.ysel, t)
+        engine.commit(state, instance, trial)
+        return trial, t
+
+    def _bound(self, con, k, Dh0):
+        K = self.iterations
+        rootK = K ** 0.5
+        return Dh0 * rootK / (self.C * k) + self.C * con["M"] / (2.0 * rootK)
 
 
 @dataclass
-class FastGradient:
+class FastGradient(_Method):
     iterations: int
     gamma: float = 2.0
     rule: BacktrackSmooth = field(default_factory=BacktrackSmooth)
 
     name = "fast_gradient"
-    reported = "x"
     ysel = FAST_COMBO
+    condition = "smooth.1"
+    needs = ("L",)
+    theory_exponent = -2.0
+
+    @classmethod
+    def from_spec(cls, spec, iterations):
+        opts = _read_spec(spec, cls.name, gamma=2.0, r=2.0, t_init=1.0)
+        gamma = opts.pop("gamma")
+        return cls(iterations, gamma=gamma, rule=BacktrackSmooth(**opts))
+
+    @classmethod
+    def presets(cls, instance, iterations):
+        # The fast rate is established here for the Euclidean h only.
+        if not isinstance(instance.h, SquaredEuclidean):
+            return []
+        return super().presets(instance, iterations)
+
+    def _bound(self, con, k, Dh0):
+        g = self.gamma
+        return (g ** g * self.rule.r ** g * con["L"] * Dh0
+                / (k + g - 1.0) ** g)
 
 
 @dataclass
-class UniversalGradient:
+class UniversalGradient(_Method):
     iterations: int
     eps: float = 1e-3
     rule: BacktrackUniversal = None
 
     name = "universal_gradient"
-    reported = "x"
     ysel = FAST_COMBO
+    condition = "smooth.3"
+    needs = ("M", "nu")
+    theory_exponent = None  # depends on the instance's nu
 
     def __post_init__(self):
         if self.rule is None:
@@ -96,98 +279,33 @@ class UniversalGradient:
         else:
             self.rule.eps = self.eps
 
+    @classmethod
+    def from_spec(cls, spec, iterations):
+        opts = _read_spec(spec, cls.name, eps=1e-3, r=2.0, t_init=1.0)
+        return cls(iterations, eps=opts["eps"], rule=BacktrackUniversal(**opts))
 
-def validate_compatibility(instance, config):
-    if isinstance(config, ConditionalSubgradient):
-        if not instance.zero_reference:
-            raise IncompatibleConfig(
-                "conditional subgradient needs the zero reference function")
-        if not hasattr(instance.psi, "linmin"):
-            raise IncompatibleConfig("conditional subgradient needs a linmin oracle")
-    else:
-        if instance.zero_reference:
-            raise IncompatibleConfig(
-                "%s needs a nonzero reference function" % config.name)
-    if isinstance(config, (ProxGradient, FastGradient, UniversalGradient)):
-        if not instance.f.differentiable:
-            raise IncompatibleConfig("%s needs a differentiable smooth part"
-                                     % config.name)
+    def _bound(self, con, k, Dh0):
+        nu = con["nu"]
+        a = (1.0 + 3.0 * nu) / (1.0 + nu)
+        return (2.0 * self.rule.r ** a * con["M"] ** (2.0 / (1.0 + nu)) * Dh0
+                / (self.eps ** ((1.0 - nu) / (1.0 + nu)) * k ** a)
+                + self.eps)
+
+
+# Every method by its JSON name, in the order compatible_configs offers them.
+METHODS = {m.name: m for m in (ConditionalSubgradient, ProxGradient,
+                               FastGradient, UniversalGradient,
+                               ProxSubgradient)}
 
 
 def rate_bound(config, instance, k, aux=None):
-    """Bound value of the method's convergence result at iteration k.
-
-    aux carries the reference quantities the bound needs, currently
-    {"Dh0": D_h(x*, x_0)}.  Returns None when they are unavailable.
-    """
-    con = instance.constants
-    if isinstance(config, ConditionalSubgradient):
-        nu = con.get("nu", config.nu)
-        return con["M"] * ((1.0 + nu) / (k + 1.0 + nu)) ** nu
-    if aux is None or "Dh0" not in aux:
-        return None
-    Dh0 = aux["Dh0"]
-    if isinstance(config, ProxGradient):
-        return config.rule.r * con["L"] * Dh0 / k
-    if isinstance(config, ProxSubgradient):
-        K = config.iterations
-        rootK = K ** 0.5
-        return Dh0 * rootK / (config.C * k) + config.C * con["M"] / (2.0 * rootK)
-    if isinstance(config, FastGradient):
-        g = config.gamma
-        return (g ** g * config.rule.r ** g * con["L"] * Dh0
-                / (k + g - 1.0) ** g)
-    if isinstance(config, UniversalGradient):
-        nu = con["nu"]
-        a = (1.0 + 3.0 * nu) / (1.0 + nu)
-        return (2.0 * config.rule.r ** a * con["M"] ** (2.0 / (1.0 + nu)) * Dh0
-                / (config.eps ** ((1.0 - nu) / (1.0 + nu)) * k ** a)
-                + config.eps)
-    raise TypeError("unknown method config: %r" % (config,))
+    # A module global so that the benchmark can time every bound by this name.
+    return config.bound(instance, k, aux)
 
 
 def subgradient_rhs_check(state, instance):
     """Right-hand side M * (sum t_i^2 / 2) / T of the subgradient rate."""
     return instance.constants["M"] * (state.Ssq.total / 2.0) / state.T.total
-
-
-def _select_and_commit(state, instance, config, k, prev_t):
-    """Advance one iteration per the method's step rule; returns (trial, t)."""
-    if isinstance(config, ConditionalSubgradient):
-        if config.schedule == "theta":
-            theta = cg_theta(k, config.nu)
-            t = 1.0 if k == 0 else t_from_theta(theta, state.T.total)
-            trial = engine.propose(state, instance, config.ysel, t)
-        else:
-            A = instance.A
-            y = state.x
-            Ay = A.apply(y)
-            g = instance.f.subgradient(Ay)
-            c = A.adjoint_apply(g)
-            s = instance.psi.linmin(c)
-            if k == 0:
-                t = 1.0
-            else:
-                theta = linesearch_cg(instance, state.x, g, s, state.cggap,
-                                      config.linesearch.max_iters,
-                                      config.linesearch.interval_tol)
-                theta = min(max(theta, 1e-12), 1.0 - 1e-9)
-                t = t_from_theta(theta, state.T.total)
-            trial = engine.finish_trial(state, instance, t,
-                                        t / (state.T.total + t),
-                                        y, g, c, s, -c, Ay)
-        engine.commit(state, instance, trial)
-        return trial, trial.t
-    if isinstance(config, ProxSubgradient):
-        t = config.C / config.iterations ** 0.5
-        trial = engine.propose(state, instance, config.ysel, t)
-        engine.commit(state, instance, trial)
-        return trial, t
-    # Backtracked rules, warm-started from the previously accepted step.
-    rule = config.rule
-    trial, _ = backtrack(state, instance, config.ysel, rule, t_start=prev_t)
-    engine.commit(state, instance, trial)
-    return trial, trial.t
 
 
 def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
@@ -203,7 +321,7 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
     columns are NaN on all rows but the last.  The last certificate is kept
     as ``trace.final_certificate`` (None for a run of zero iterations).
     """
-    validate_compatibility(instance, config)
+    config.check_compatible(instance)
     t0 = time.perf_counter()
     state = engine.init(instance, record_history=record_history)
     ref_value = None
@@ -217,7 +335,7 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
     prev_t = None
     cert = None
     for k in range(config.iterations):
-        trial, prev_t = _select_and_commit(state, instance, config, k, prev_t)
+        trial, prev_t = config.step(state, instance, k, prev_t)
         bound = rate_bound(config, instance, state.k, aux)
         if check or state.k == config.iterations:
             cert = engine.certificate(state, instance, mode=config.reported,
@@ -264,7 +382,7 @@ def _check_row(trace, instance, config, cert, state, bound, ref_value, tol):
     if instance.zero_reference and not (cert.gap <= state.cggap + 1e-8):
         trace.violation("primal-dual gap exceeds CGgap at k=%d" % k)
     if bound is not None:
-        if isinstance(config, ConditionalSubgradient):
+        if config.bound_kind == "gap":
             if not (cert.gap <= bound + tol * max(1.0, bound)):
                 trace.violation("CG gap bound violated at k=%d" % k)
         elif ref_value is not None:
@@ -275,26 +393,10 @@ def _check_row(trace, instance, config, cert, state, bound, ref_value, tol):
 
 
 def compatible_configs(instance, iterations):
-    """Every preset method that can legally run on the instance."""
-    out = []
-    if instance.zero_reference:
-        out.append(ConditionalSubgradient(iterations=iterations,
-                                          nu=instance.constants.get("nu", 1.0)))
-        out.append(ConditionalSubgradient(iterations=iterations,
-                                          nu=instance.constants.get("nu", 1.0),
-                                          schedule="linesearch"))
-        return out
-    if instance.f.differentiable:
-        if instance.condition == "smooth.1":
-            out.append(ProxGradient(iterations=iterations))
-            if isinstance(instance.h, SquaredEuclidean):
-                out.append(FastGradient(iterations=iterations))
-        if instance.condition == "smooth.3":
-            out.append(UniversalGradient(iterations=iterations,
-                                         eps=1e-3))
-    else:
-        out.append(ProxSubgradient(iterations=iterations))
-    return out
+    """The preset configs of every method whose bound is proved under the
+    instance's condition class."""
+    return [config for method in METHODS.values()
+            for config in method.presets(instance, iterations)]
 
 
 def reference_run(instance, budget):
@@ -318,10 +420,9 @@ def reference_run(instance, budget):
             condition=instance.condition)
         return reference_run(twin, budget)
     configs = compatible_configs(instance, budget)
-    config = configs[0]
-    for c in configs:
-        if isinstance(c, FastGradient):
-            config = c
+    # The fast method, where offered, converges far quicker than the rest.
+    config = next((c for c in configs if c.name == FastGradient.name),
+                  configs[0])
     trace = run(instance, config, check=False)
     _check_bracket(instance, config, trace.final_certificate)
     state = trace.state

@@ -30,12 +30,6 @@ class BacktrackUniversal:
     max_growth: int = 60
 
 
-@dataclass
-class LineSearchCG:
-    max_iters: int = 64
-    interval_tol: float = 1e-10
-
-
 def theta_from_history(t_k, T_prev):
     """theta_k = t_k / (T_prev + t_k)."""
     if t_k <= 0:

@@ -132,6 +132,56 @@ def test_run_bad_value_exits_1(tmp_path, capsys, overrides):
     assert err[0].startswith("config error: %s must be " % key), err
 
 
+def _config_error(tmp_path, capsys, **overrides):
+    """The one stderr line of a run that must exit 1."""
+    cfgpath = _write_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["run", "--config", str(cfgpath)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("method", [
+    {"name": "fast_gradient", "gama": 3},
+    {"name": "prox_subgradient", "r": 2},
+    {"name": "prox_gradient", "nu": 1},
+    {"name": "conditional_subgradient", "t_init": 1.0},
+], ids=repr)
+def test_run_key_the_method_does_not_read_exits_1(tmp_path, capsys, method):
+    key = [k for k in method if k != "name"][-1]
+    line = _config_error(tmp_path, capsys, method=method)
+    assert line.startswith("config error: %s is not a %s key"
+                           % (key, method["name"])), line
+
+
+@pytest.mark.parametrize("nu", [0.2, 3])
+def test_run_cg_nu_other_than_declared_exits_1(tmp_path, capsys, nu):
+    # The CG bound M((1+nu)/(k+1+nu))^nu holds only for the declared nu.
+    line = _config_error(
+        tmp_path, capsys, instance={"name": "cg-ball", "seed": 0},
+        method={"name": "conditional_subgradient", "nu": nu})
+    assert line.startswith("config error: nu must equal"), line
+
+
+@pytest.mark.parametrize("instance,method,constant", [
+    ("simplex-quadratic", "prox_subgradient", "M"),
+    ("lasso", "prox_subgradient", "M"),
+    ("poisson-burg", "prox_subgradient", "M"),
+    ("simplex-quadratic", "universal_gradient", "M, nu"),
+    ("lasso", "universal_gradient", "M, nu"),
+    ("poisson-burg", "universal_gradient", "M, nu"),
+    ("holder", "prox_gradient", "L"),
+    ("holder", "fast_gradient", "L"),
+])
+def test_run_bound_constant_not_declared_exits_1(tmp_path, capsys, instance,
+                                                  method, constant):
+    line = _config_error(tmp_path, capsys,
+                         instance={"name": instance, "seed": 0},
+                         method={"name": method}, reference=True)
+    assert line == ("config error: the %s bound reads %s, which %s does not "
+                    "declare" % (method, constant, instance)), line
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
 def test_run_bad_fom_tol_exits_1(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("FOM_TOL", value)
@@ -198,6 +248,16 @@ def test_verify_fault_injection(capsys):
                      "--scale-constant", "M=0.01"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert not report["passed"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_without_samples_exits_1(capsys, samples):
+    assert cli.main(["verify", "--instance", "lasso",
+                     "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: samples"), err
 
 
 def test_verify_bad_flag():

@@ -16,13 +16,11 @@ from fomcert.methods import (
     ReferenceBracketError,
     UniversalGradient,
     _check_row,
-    _select_and_commit,
     compatible_configs,
     rate_bound,
     reference_run,
     run,
     subgradient_rhs_check,
-    validate_compatibility,
 )
 from fomcert.problems import REGISTRY_NAMES, make_instance
 from fomcert.trace import Trace
@@ -35,14 +33,14 @@ def test_compatibility_rules():
     ball = make_instance("cg-ball", seed=0)
     l1reg = make_instance("l1-regression", seed=0)
     with pytest.raises(IncompatibleConfig):
-        validate_compatibility(lasso, ConditionalSubgradient(iterations=10))
+        ConditionalSubgradient(iterations=10).check_compatible(lasso)
     with pytest.raises(IncompatibleConfig):
-        validate_compatibility(ball, ProxGradient(iterations=10))
+        ProxGradient(iterations=10).check_compatible(ball)
     with pytest.raises(IncompatibleConfig):
-        validate_compatibility(l1reg, ProxGradient(iterations=10))
-    validate_compatibility(lasso, ProxGradient(iterations=10))
-    validate_compatibility(ball, ConditionalSubgradient(iterations=10))
-    validate_compatibility(l1reg, ProxSubgradient(iterations=10))
+        ProxGradient(iterations=10).check_compatible(l1reg)
+    ProxGradient(iterations=10).check_compatible(lasso)
+    ConditionalSubgradient(iterations=10).check_compatible(ball)
+    ProxSubgradient(iterations=10).check_compatible(l1reg)
 
 
 def test_compatible_configs_cover_registry():
@@ -59,7 +57,7 @@ def test_compatible_configs_cover_registry():
         configs = compatible_configs(inst, 10)
         assert {c.name for c in configs} == expected
         for c in configs:
-            validate_compatibility(inst, c)
+            c.check_compatible(inst)
 
 
 def test_rate_bound_formulas(quad1d):
@@ -216,7 +214,7 @@ def test_state_objective_matches_fresh_evaluation(name, config):
     prev_t = None
     for k in range(config.iterations + 1):
         if k:
-            _, prev_t = _select_and_commit(state, inst, config, k - 1, prev_t)
+            _, prev_t = config.step(state, inst, k - 1, prev_t)
         assert state.F_x == inst.f.value(state.Ax) + inst.psi.value(state.x), k
 
 
