@@ -10,18 +10,12 @@ import sys
 import numpy as np
 
 from . import methods, problems, trace as trace_mod
-from .methods import ConfigError, check_number
+from .methods import ConfigError, check_number, check_positive_int
 from .steprules import BacktrackFailed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
-
-
-def _check_positive_int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError("%s must be a positive integer, got %r"
-                          % (what, value))
 
 
 def _default_tol():
@@ -53,9 +47,9 @@ def _load_run_config(path):
     for key in ("instance", "method", "iterations"):
         if key not in cfg:
             raise ConfigError("config missing %r" % key)
-    _check_positive_int(cfg["iterations"], "iterations")
+    check_positive_int(cfg["iterations"], "iterations")
     if "reference_budget" in cfg:
-        _check_positive_int(cfg["reference_budget"], "reference_budget")
+        check_positive_int(cfg["reference_budget"], "reference_budget")
     if not isinstance(cfg["method"], dict):
         raise ConfigError("method must be an object, got %r" % (cfg["method"],))
     return cfg
@@ -111,7 +105,7 @@ def cmd_run(args):
 
 def cmd_verify(args):
     try:
-        _check_positive_int(args.samples, "samples")
+        check_positive_int(args.samples, "samples")
         instance = problems.make_instance(args.instance, seed=args.seed)
     except (ConfigError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

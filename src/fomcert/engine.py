@@ -284,16 +284,21 @@ def combination_excess(instance, x, y, g, s, theta):
     return F(comb) - (1.0 - theta) * F(x) - theta * F(s) + theta * D_fa
 
 
-def segment_ends(instance, x, g, s):
+def segment_ends(instance, x, g, s, x_side=None):
     """The theta-independent terms of segment_excess along x -> s.
 
     Returns the tuple (s - x, f(Ax), <g, As - Ax>, Psi(x), Psi(s)): two
     A-applications, one f and two Psi evaluations, paid once per segment.
+    A caller that already holds x_side = (Ax, f(Ax), Psi(x)) passes it in,
+    which leaves one A-application and one Psi evaluation (at s).
     """
     A = instance.A
-    Ax = A.apply(x)
-    return (s - x, instance.f.value(Ax), float(g @ (A.apply(s) - Ax)),
-            instance.psi.value(x), instance.psi.value(s))
+    if x_side is None:
+        Ax = A.apply(x)
+        x_side = (Ax, instance.f.value(Ax), instance.psi.value(x))
+    Ax, fAx, psi_x = x_side
+    return (s - x, fAx, float(g @ (A.apply(s) - Ax)), psi_x,
+            instance.psi.value(s))
 
 
 def segment_excess(instance, x, g, s, theta, ends=None):

@@ -50,6 +50,13 @@ def check_number(value, what, lower, strict=False):
                           % (what, ">" if strict else ">=", lower, value))
 
 
+def check_positive_int(value, what):
+    """Reject a config value that is not a positive int (bool included)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError("%s must be a positive integer, got %r"
+                          % (what, value))
+
+
 # The range of each numeric JSON method key: (lower limit, strict).
 _KEY_LIMITS = {"r": (1.0, True), "gamma": (1.0, False), "t_init": (0.0, True),
                "C": (0.0, True), "eps": (0.0, True), "nu": (0.0, True)}
@@ -166,9 +173,11 @@ class ConditionalSubgradient(_Method):
             t = t_from_theta(cg_theta(k, instance.constants["nu"]),
                              state.T.total)
         else:
-            y, _, g, c, _, _ = engine.cached_y_side(state, instance, self.ysel)
+            # y = x, so the cached y-side holds Ax, f(Ax) and Psi(x).
+            y, Ay, g, c, fAy, psi_y = engine.cached_y_side(state, instance,
+                                                           self.ysel)
             theta = linesearch_cg(instance, y, g, instance.psi.linmin(c),
-                                  state.cggap)
+                                  state.cggap, x_side=(Ay, fAy, psi_y))
             theta = min(max(theta, 1e-12), 1.0 - 1e-9)
             t = t_from_theta(theta, state.T.total)
         trial = engine.propose(state, instance, self.ysel, t)

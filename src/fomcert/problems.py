@@ -1,12 +1,15 @@
 """Desk-scale benchmark instances with declared constants, domain samplers,
 and a numerical verifier for the smoothness/continuity/curvature classes."""
 
+import inspect
 import math
 
 import numpy as np
 
+from . import methods
 from .engine import segment_excess
 from .linalg import LinearMap
+from .methods import ConfigError, check_number, check_positive_int
 from .oracles import (
     BoxIndicator,
     L1BallIndicator,
@@ -20,26 +23,61 @@ from .reference import Burg, Entropy, SquaredEuclidean, ZeroReference
 INF = float("inf")
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# The same constants as numpy scalars, so that block arithmetic stays uint64
+# (and wraps mod 2**64) under both numpy 1.x and 2.x promotion rules.
+_U_GAMMA = np.uint64(_GAMMA)
+_U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX2 = np.uint64(0x94D049BB133111EB)
+_U_30, _U_27, _U_31, _U_11 = (np.uint64(b) for b in (30, 27, 31, 11))
 
 
 class SplitMix64:
-    """Seeded 64-bit generator; fixed algorithm for reproducibility."""
+    """Seeded 64-bit generator; fixed algorithm for reproducibility.
+
+    SplitMix64 (Steele, Lea & Flood 2014) is counter-based: output i after
+    state s is mix(s + i * gamma mod 2**64).  So the block methods u64s,
+    uniforms and normals compute n outputs at once in numpy and return
+    exactly what n scalar calls would, in order, leaving state where those
+    calls would leave it.
+    """
 
     def __init__(self, seed):
         self.state = seed & _MASK
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return (z ^ (z >> 31)) & _MASK
 
+    def u64s(self, n):
+        """The next n outputs of next_u64 as a uint64 array.
+
+        Output i is mixed from state + i * gamma, computed in place with
+        uint64 arithmetic, which wraps mod 2**64 like the scalar masks.
+        """
+        if n < 0:
+            raise ValueError("cannot draw %r values" % (n,))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(self.state)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z ^= z >> _U_30
+        z *= _U_MIX1
+        z ^= z >> _U_27
+        z *= _U_MIX2
+        z ^= z >> _U_31
+        return z
+
     def uniform(self):
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def uniforms(self, n):
-        return np.array([self.uniform() for _ in range(n)])
+        """The next n values of uniform, as one block."""
+        return (self.u64s(n) >> _U_11) * (2.0 ** -53)
 
     def normal(self):
         # Box-Muller; discard the second variate for simplicity.
@@ -48,7 +86,20 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, n):
-        return np.array([self.normal() for _ in range(n)])
+        """The next n values of normal, from one block of 2n uniforms.
+
+        log and cos go through math per element: numpy's SIMD log and cos
+        may differ from libm in the last bit (3,517 of a million log values
+        on an AVX-512 CPU), which would change every seeded instance.  The
+        max, products and sqrt are correctly rounded in both, so they run
+        in numpy.
+        """
+        u = self.uniforms(2 * n)
+        u1 = np.maximum(u[0::2], 1e-300).tolist()
+        angles = (2.0 * math.pi * u[1::2]).tolist()
+        logs = np.fromiter(map(math.log, u1), np.float64, n)
+        return np.sqrt(-2.0 * logs) * np.fromiter(map(math.cos, angles),
+                                                  np.float64, n)
 
 
 # Boundary margin for sampling: conditions are tested away from the region
@@ -72,7 +123,7 @@ def _quadratic_oracle(Q, q):
 
 
 def _make_simplex_quadratic(rng, n=20, reference="entropy"):
-    G = np.array([[rng.normal() for _ in range(n)] for _ in range(n)])
+    G = np.array([rng.normals(n) for _ in range(n)])
     Q = G.T @ G / n + 0.1 * np.eye(n)
     q = 0.5 * rng.normals(n)
     L = float(np.linalg.eigvalsh(Q)[-1])
@@ -95,11 +146,11 @@ def _make_simplex_quadratic(rng, n=20, reference="entropy"):
 
 
 def _make_lasso(rng, n=20, m=30, lam=None, cond=1e5):
-    G = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
+    G = np.array([rng.normals(n) for _ in range(m)])
     # Stretch the spectrum so the fast method stays in its sublinear regime.
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     s = np.geomspace(1.0, 1.0 / cond, s.size)
-    B = U @ np.diag(s) @ Vt
+    B = (U * s) @ Vt
     x_true = rng.normals(n)
     x_true[np.abs(x_true) < 0.8] = 0.0
     b = B @ x_true + 0.05 * rng.normals(m)
@@ -152,7 +203,7 @@ def _make_poisson_burg(rng, n=10, m=15, lo=0.1, hi=10.0):
 
 
 def _make_l1_regression(rng, n=10, m=20, box=1.0):
-    B = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
+    B = np.array([rng.normals(n) for _ in range(m)])
     x_true = box * (2.0 * rng.uniforms(n) - 1.0)
     b = B @ x_true + 0.1 * rng.normals(m)
 
@@ -194,7 +245,7 @@ def _l1_regression_optimum(B, b, box):
 
 
 def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
-    B = np.array([[rng.normal() for _ in range(n)] for _ in range(m)])
+    B = np.array([rng.normals(n) for _ in range(m)])
     x_true = 0.5 * box * (2.0 * rng.uniforms(n) - 1.0)
     b = B @ x_true + 0.1 * rng.normals(m)
     p = 1.0 + nu
@@ -247,7 +298,7 @@ def _holder_optimum(B, b, nu, box, n):
 
 
 def _make_cg_ball(rng, n=10, radius=1.0):
-    G = np.array([[rng.normal() for _ in range(n)] for _ in range(n)])
+    G = np.array([rng.normals(n) for _ in range(n)])
     Q = G.T @ G / n + 0.1 * np.eye(n)
     # Put the unconstrained minimizer outside the ball so the constraint binds.
     x_unc = rng.normals(n)
@@ -282,10 +333,47 @@ _REGISTRY = {
 REGISTRY_NAMES = tuple(_REGISTRY)
 
 
+# The range of each numeric instance parameter: (lower limit, strict).
+_PARAM_LIMITS = {"lam": (0.0, True), "cond": (1.0, False), "lo": (0.0, True),
+                 "hi": (0.0, True), "box": (0.0, True), "radius": (0.0, True),
+                 "nu": (0.0, True)}
+
+
+def _check_spec(name, seed, params):
+    """Raise ConfigError for a seed or an instance parameter out of range."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK:
+        raise ConfigError("seed must be an integer in [0, 2**64), got %r" % (seed,))
+    takes = list(inspect.signature(_REGISTRY[name]).parameters.values())[1:]
+    spec = {p.name: p.default for p in takes}
+    for key, value in params.items():
+        if key not in spec:
+            raise ConfigError("%s is not a %s parameter (it takes %s)"
+                              % (key, name, ", ".join(spec)))
+        if key in ("n", "m"):
+            check_positive_int(value, key)
+        elif key == "reference":
+            if value not in ("entropy", "euclidean"):
+                raise ConfigError("reference must be 'entropy' or 'euclidean', "
+                                  "got %r" % (value,))
+        elif not (key == "lam" and value is None):  # lam=None: the default
+            check_number(value, key, *_PARAM_LIMITS[key])
+        spec[key] = value
+    if spec.get("nu", 1.0) > 1.0:  # a Hoelder exponent lies in (0, 1]
+        raise ConfigError("nu must be at most 1, got %r" % (spec["nu"],))
+    if "lo" in spec and spec["lo"] >= spec["hi"]:
+        raise ConfigError("lo must be below hi, got %r >= %r"
+                          % (spec["lo"], spec["hi"]))
+
+
 def make_instance(name, seed=0, **params):
-    """Build a registry instance deterministically from its seed."""
+    """Build a registry instance deterministically from its seed.
+
+    Raises KeyError for an unknown name and ConfigError for a seed outside
+    [0, 2**64) or a parameter the instance does not take or out of range.
+    """
     if name not in _REGISTRY:
         raise KeyError("unknown instance %r; choose from %s" % (name, REGISTRY_NAMES))
+    _check_spec(name, seed, params)
     rng = SplitMix64(seed)
     instance, sampler = _REGISTRY[name](rng, **params)
     instance.sampler = sampler
@@ -379,5 +467,4 @@ def reference_optimum(instance, budget=20000):
     long certificate-bracketed run of the matching method."""
     if instance.known_optimum is not None:
         return instance.known_optimum
-    from . import methods  # late import: methods builds on problems
     return methods.reference_run(instance, budget)

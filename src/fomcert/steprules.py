@@ -110,16 +110,18 @@ def backtrack(state, instance, ysel, rule, t_start=None):
         "smoothness constants are likely wrong" % t)
 
 
-def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10):
+def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10,
+                  x_side=None):
     """Golden-section minimization of (1-theta)*CGgap + D(x, s, theta) on [0,1].
 
     The segment's theta-independent terms (segment_ends) are computed once;
     each of the evals trial thetas then costs one segment_excess call, i.e.
     one A-application, one f and one Psi evaluation at the combination
     point.  A whole search makes evals + 2 A-applications, evals + 1 f and
-    evals + 2 Psi evaluations.
+    evals + 2 Psi evaluations, or evals + 1, evals and evals + 1 when the
+    caller passes x_side = (Ax, f(Ax), Psi(x)).
     """
-    ends = segment_ends(instance, x, g, s)
+    ends = segment_ends(instance, x, g, s, x_side=x_side)
     phi = lambda theta: (1.0 - theta) * cggap + segment_excess(
         instance, x, g, s, theta, ends=ends)
     invphi = (5 ** 0.5 - 1) / 2

@@ -182,6 +182,33 @@ def test_run_bound_constant_not_declared_exits_1(tmp_path, capsys, instance,
                     "declare" % (method, constant, instance)), line
 
 
+@pytest.mark.parametrize("instance,key", [
+    ({"name": "lasso", "seed": 0, "params": {"n": 0}}, "n"),
+    ({"name": "lasso", "seed": 0, "params": {"n": -5}}, "n"),
+    ({"name": "lasso", "seed": 0, "params": {"n": 20.0}}, "n"),
+    ({"name": "lasso", "seed": 0, "params": {"m": 0}}, "m"),
+    ({"name": "lasso", "seed": 0, "params": {"m": True}}, "m"),
+    ({"name": "lasso", "seed": 0, "params": {"lam": -1}}, "lam"),
+    ({"name": "lasso", "seed": 0, "params": {"lam": 0}}, "lam"),
+    ({"name": "lasso", "seed": 0, "params": {"lam": "0.1"}}, "lam"),
+    ({"name": "lasso", "seed": 0, "params": {"lamda": 0.1}}, "lamda"),
+    ({"name": "simplex-quadratic", "seed": 0,
+      "params": {"reference": "euclid"}}, "reference"),
+    ({"name": "poisson-burg", "seed": 0, "params": {"lo": 5.0, "hi": 1.0}},
+     "lo"),
+    ({"name": "holder", "seed": 0, "params": {"nu": 1.5}}, "nu"),
+    ({"name": "lasso", "seed": True}, "seed"),
+    ({"name": "lasso", "seed": 2**64}, "seed"),
+    ({"name": "lasso", "seed": -1}, "seed"),
+    ({"name": "lasso", "seed": 1.5}, "seed"),
+], ids=repr)
+def test_run_bad_instance_spec_exits_1(tmp_path, capsys, instance, key):
+    method = ({"name": "prox_gradient"} if instance["name"] != "holder"
+              else {"name": "universal_gradient"})
+    line = _config_error(tmp_path, capsys, instance=instance, method=method)
+    assert line.startswith("config error: %s " % key), line
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
 def test_run_bad_fom_tol_exits_1(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("FOM_TOL", value)
@@ -258,6 +285,14 @@ def test_verify_without_samples_exits_1(capsys, samples):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: samples"), err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_seed_out_of_range_exits_1(capsys, seed):
+    assert cli.main(["verify", "--instance", "lasso", "--samples", "10",
+                     "--seed", seed]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: seed "), err
 
 
 def test_verify_bad_flag():

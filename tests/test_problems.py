@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,67 @@ def test_splitmix64_streams():
     ns = r.normals(1000)
     assert np.all(np.isfinite(ns))
     assert abs(float(np.mean(ns))) < 0.2
+
+
+def _scalar_block(r, method, n):
+    """n scalar draws, as the block method of that name returns them."""
+    if method == "u64s":
+        return np.array([r.next_u64() for _ in range(n)], dtype=np.uint64)
+    draw = r.uniform if method == "uniforms" else r.normal
+    return np.array([draw() for _ in range(n)], dtype=np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 1000])
+def test_block_draws_equal_scalar_stream(seed, n):
+    # Blocks and scalar calls interleaved on one generator, against the
+    # same calls made one value at a time on a twin.
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    for method in ("u64s", "uniforms", "normals", "normals", "u64s"):
+        assert block.uniform() == scalar.uniform()
+        got = getattr(block, method)(n)
+        want = _scalar_block(scalar, method, n)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes(), method
+        assert block.state == scalar.state
+        assert block.normal() == scalar.normal()
+
+
+@pytest.mark.parametrize("method", ["u64s", "uniforms", "normals"])
+def test_block_draws_reject_negative_n(method):
+    r = SplitMix64(3)
+    with pytest.raises(ValueError):
+        getattr(r, method)(-1)
+    assert r.state == 3
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the seeded instance data, recorded while every draw was a scalar
+# SplitMix64 call; the block draws must reproduce them.
+_INSTANCE_DIGESTS = {
+    (0, "lasso"): "9cf6577a718e81bede9e91f7434242e76cb5ef50f2e488b2ea5ce58988977acb",
+    (0, "simplex-quadratic"): "1658add685aae27b78bddde34acb05609ceb8b50ccd6044b017dadcaf8d9a702",
+    (91, "lasso"): "64650429c7366e0f8d253f494b3e2d735cf905e789ee8f88cf4fc607eb92946e",
+    (91, "simplex-quadratic"): "d024626b11df4a4f4d40942ba3fdad5d47ee5dc3d05ce018dab552bfecf2b35b",
+}
+
+
+@pytest.mark.parametrize("seed,name", sorted(_INSTANCE_DIGESTS))
+def test_instance_data_digest(seed, name):
+    if name == "lasso":
+        inst = make_instance(name, seed=seed, n=200, m=300)
+        got = _digest(inst.A.matrix, [inst.constants["L"]])
+    else:
+        inst = make_instance(name, seed=seed, n=200)
+        got = _digest(inst.f.subgradient(np.linspace(-1.0, 1.0, 200)),
+                      [inst.constants["L"]])
+    assert got == _INSTANCE_DIGESTS[seed, name]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -3,6 +3,7 @@ import pytest
 
 from fomcert import engine, steprules
 from fomcert.engine import PROX_POINT, init, propose
+from fomcert.methods import ConditionalSubgradient
 from fomcert.problems import SplitMix64, make_instance
 from fomcert.steprules import (
     BacktrackFailed,
@@ -207,7 +208,9 @@ def test_linesearch_matches_unhoisted_golden_section():
                 == _golden_section_unhoisted(inst, x, g, s, cggap))
 
 
-def test_linesearch_evaluates_segment_ends_once(monkeypatch):
+def _count_evaluations(monkeypatch, inst):
+    """Count segment_excess calls and inst's A, f and Psi evaluations into
+    the returned dict."""
     calls = {"A": 0, "f": 0, "psi": 0, "evals": 0}
 
     def counting(key, fn):
@@ -218,11 +221,16 @@ def test_linesearch_evaluates_segment_ends_once(monkeypatch):
 
     monkeypatch.setattr(steprules, "segment_excess",
                         counting("evals", steprules.segment_excess))
-    segments = list(_cg_ball_segments(4))
-    inst = segments[0][0]  # one instance shared by every segment
     monkeypatch.setattr(inst.A, "apply", counting("A", inst.A.apply))
     monkeypatch.setattr(inst.f, "value", counting("f", inst.f.value))
     monkeypatch.setattr(inst.psi, "value", counting("psi", inst.psi.value))
+    return calls
+
+
+def test_linesearch_evaluates_segment_ends_once(monkeypatch):
+    segments = list(_cg_ball_segments(4))
+    inst = segments[0][0]  # one instance shared by every segment
+    calls = _count_evaluations(monkeypatch, inst)
     for _, x, g, s, cggap in segments:
         for key in calls:
             calls[key] = 0
@@ -232,6 +240,35 @@ def test_linesearch_evaluates_segment_ends_once(monkeypatch):
         assert calls["A"] == evals + 2
         assert calls["f"] == evals + 1
         assert calls["psi"] == evals + 2
+
+
+def test_linesearch_with_x_side_is_bitwise_same():
+    for inst, x, g, s, cggap in _cg_ball_segments(12):
+        Ax = inst.A.apply(x)
+        x_side = (Ax, inst.f.value(Ax), inst.psi.value(x))
+        assert (linesearch_cg(inst, x, g, s, cggap, x_side=x_side)
+                == linesearch_cg(inst, x, g, s, cggap))
+
+
+def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch):
+    # A line-search step evaluates the y-side (A x, f(Ax), Psi(x), as
+    # y = x), then A s and Psi(s) once for the search and one A, f and Psi
+    # per trial theta, then A s, f(As), Psi(s) and f, Psi at the combination
+    # in finish_trial.  The search reads A x, f(Ax), Psi(x) from the cache.
+    inst = make_instance("cg-ball", seed=0)
+    config = ConditionalSubgradient(iterations=20, schedule="linesearch")
+    state = init(inst)
+    config.step(state, inst, 0, None)  # theta_0 = 1, no search
+    calls = _count_evaluations(monkeypatch, inst)
+    for k in range(1, config.iterations):
+        for key in calls:
+            calls[key] = 0
+        config.step(state, inst, k, state.last_t)
+        evals = calls["evals"]
+        assert evals > 2
+        assert calls["A"] == evals + 3
+        assert calls["f"] == evals + 3
+        assert calls["psi"] == evals + 4
 
 
 @pytest.mark.parametrize("gamma,L", [(1.5, 1.0), (2.0, 1.0), (2.0, 10.0)])
