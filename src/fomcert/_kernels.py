@@ -27,9 +27,9 @@ def entropy_prox_simplex(log_s_prev, tc):
     log_z is the log of the normalizing constant.
     """
     w = log_s_prev - tc
-    m = np.max(w)
+    m = w.max()
     e = np.exp(w - m)
-    z = np.sum(e)
+    z = e.sum()
     log_z = m + np.log(z)
     return e / z, log_z
 
@@ -41,12 +41,11 @@ def sq_euclid_bregman(s, z):
 
 def entropy_bregman(s, z):
     # 0*log 0 = 0 on the s side; z must be strictly positive.
-    out = 0.0
     mask = s > 0.0
-    out = float(np.sum(s[mask] * np.log(s[mask] / z[mask])))
-    return out - float(np.sum(s)) + float(np.sum(z))
+    out = float((s[mask] * np.log(s[mask] / z[mask])).sum())
+    return out - float(s.sum()) + float(z.sum())
 
 
 def burg_bregman(s, z):
     r = s / z
-    return float(np.sum(r - np.log(r) - 1.0))
+    return float((r - np.log(r) - 1.0).sum())

@@ -55,6 +55,20 @@ def _load_run_config(path):
     return cfg
 
 
+def _checked_constants(instance, overrides):
+    """The config's constant overrides, each of which must name a constant
+    the instance declares and be a finite number > 0."""
+    if not isinstance(overrides, dict):
+        raise ConfigError("constants must be an object, got %r" % (overrides,))
+    for name, value in overrides.items():
+        if name not in instance.constants:
+            raise ConfigError("constants.%s is not a constant %s declares "
+                              "(it declares %s)" % (name, instance.name,
+                                                    ", ".join(instance.constants)))
+        check_number(value, "constants." + name, 0.0, strict=True)
+    return overrides
+
+
 def cmd_run(args):
     try:
         cfg = _load_run_config(args.config)
@@ -63,7 +77,8 @@ def cmd_run(args):
             inst_spec["name"], seed=inst_spec.get("seed", 0),
             **inst_spec.get("params", {}))
         # Declared-constant overrides, mainly for fault-injection checks.
-        instance.constants.update(inst_spec.get("constants", {}))
+        instance.constants.update(
+            _checked_constants(instance, inst_spec.get("constants", {})))
         config = config_from_dict(cfg["method"], cfg["iterations"])
         config.check_compatible(instance)
         tol = cfg.get("tolerance", _default_tol())
@@ -115,6 +130,7 @@ def cmd_verify(args):
         try:
             name, factor = item.split("=")
             overrides[name] = instance.constants[name] * float(factor)
+            check_number(overrides[name], "the scaled " + name, 0.0, strict=True)
         except (ValueError, KeyError) as exc:
             print("config error: bad --scale-constant %r (%s)" % (item, exc),
                   file=sys.stderr)

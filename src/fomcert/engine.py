@@ -76,7 +76,12 @@ class EngineState:
         self.x = start.copy()
         self.z = start.copy()
         self.Ax = instance.A.apply(start)
-        self.F_x = instance.f.value(self.Ax) + psi_start  # F(x_k), kept by commit
+        f_start = instance.f.value(self.Ax)
+        self.F_x = f_start + psi_start  # F(x_k), kept by commit
+        # (A s_prev, f(A s_prev), Psi(s_prev)): the PROX_POINT y-side's
+        # image, replaced by commit with the accepted trial's.
+        self.s_prev_side = (self.Ax, f_start, psi_start)
+        self.grad_h_anchor = None  # grad h(s_anchor), set by d_conjugate
         self.Az = self.Ax.copy()
         self.T = _Kahan()
         self.U = np.zeros(instance.A.out_dim)
@@ -134,37 +139,46 @@ class TrialStep:
         self.F_comb = F_comb
 
 
-def _y_side(instance, y):
-    """(Ay, g, c): the image of y, g = f'(Ay) and c = A* g."""
+def _y_side(instance, y, image=None):
+    """(y, Ay, g, c, f(Ay), Psi(y)) with g = f'(Ay) and c = A* g; a caller
+    that already holds image = (Ay, f(Ay), Psi(y)) passes it in."""
     A = instance.A
-    Ay = A.apply(y)
+    if image is None:
+        Ay = A.apply(y)
+        image = (Ay, instance.f.value(Ay), instance.psi.value(y))
+    Ay, fAy, psi_y = image
     g = instance.f.subgradient(Ay)
-    return Ay, g, A.adjoint_apply(g)
+    return y, Ay, g, A.adjoint_apply(g), fAy, psi_y
 
 
 def cached_y_side(state, instance, ysel):
     """(y, Ay, g, c, f(Ay), Psi(y)) for PROX_POINT or CURRENT_AVERAGE, whose
     y does not depend on t: computed once per iteration, kept on the state
-    until commit."""
+    until commit.
+
+    For PROX_POINT, y = s_prev and A y, f(A y), Psi(y) are the accepted
+    trial's A s, f(A s), Psi(s), which commit carries on the state (the
+    start point's at k = 0); only g and c = A* g are computed here.
+    """
     cached = state.y_side.get(ysel)
     if cached is None:
         if ysel == PROX_POINT:
-            y = state.s_prev
+            cached = _y_side(instance, state.s_prev, state.s_prev_side)
         elif ysel == CURRENT_AVERAGE:
-            y = state.x
+            cached = _y_side(instance, state.x)
         else:
             raise ValueError("unknown y selector: %r" % (ysel,))
-        Ay, g, c = _y_side(instance, y)
-        cached = (y, Ay, g, c, instance.f.value(Ay), instance.psi.value(y))
         state.y_side[ysel] = cached
     return cached
 
 
-def propose(state, instance, ysel, t):
+def propose(state, instance, ysel, t, solved=None):
     """Solve one candidate iteration at step size t without committing it.
 
     For PROX_POINT and CURRENT_AVERAGE the y-side data do not depend on t,
-    so every backtracking trial of one iteration reuses them.
+    so every backtracking trial of one iteration reuses them.  A caller
+    that has already solved the subproblem passes solved = (s, g_psi, As,
+    Psi(s)), and the prox step is skipped.
     """
     if t <= 0:
         raise ValueError("step size must be positive")
@@ -172,25 +186,22 @@ def propose(state, instance, ysel, t):
     theta = t / (T_prev + t)
 
     if ysel == FAST_COMBO:
-        y = (1.0 - theta) * state.x + theta * state.s_prev
-        Ay, g, c = _y_side(instance, y)
-        fAy, psi_y = instance.f.value(Ay), instance.psi.value(y)
+        y_side = _y_side(instance, (1.0 - theta) * state.x + theta * state.s_prev)
     else:
-        y, Ay, g, c, fAy, psi_y = cached_y_side(state, instance, ysel)
+        y_side = cached_y_side(state, instance, ysel)
 
-    s, g_psi = prox_step(instance, c, t, state.s_prev)
-    return finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay,
-                        fAy, psi_y)
+    if solved is None:
+        s, g_psi = prox_step(instance, y_side[3], t, state.s_prev)
+        solved = (s, g_psi, instance.A.apply(s), instance.psi.value(s))
+    return finish_trial(state, instance, t, theta, y_side, *solved)
 
 
-def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay, fAy,
-                 psi_y):
+def finish_trial(state, instance, t, theta, y_side, s, g_psi, As, psi_s):
     """Evaluate the objective pieces a trial needs for its descent terms,
-    given fAy = f(Ay) and psi_y = Psi(y)."""
-    A, f, psi, h = instance.A, instance.f, instance.psi, instance.h
-    As = A.apply(s)
+    given y_side = (y, Ay, g, c, f(Ay), Psi(y)) and As = A s, psi_s = Psi(s)."""
+    y, Ay, g, c, fAy, psi_y = y_side
+    f, psi, h = instance.f, instance.psi, instance.h
     fAs = f.value(As)
-    psi_s = psi.value(s)
     Dh = h.bregman(s, state.s_prev)
 
     # script D(x_k, y_k, s_k, theta_k); the combination point is x_{k+1}.
@@ -207,7 +218,11 @@ def finish_trial(state, instance, t, theta, y, g, c, s, g_psi, Ay, fAy,
 
 
 def commit(state, instance, trial):
-    """Fold an accepted trial into the state and advance one iteration."""
+    """Fold an accepted trial into the state and advance one iteration.
+
+    The trial's s becomes s_prev, and its (As, f(As), Psi(s)) becomes
+    s_prev_side, the image the next PROX_POINT y-side reuses.
+    """
     t, theta, s = trial.t, trial.theta, trial.s
     ssub_term = (t * (trial.psi_y - trial.psi_s - float(trial.c @ (s - trial.y)))
                  - trial.Dh)
@@ -240,6 +255,7 @@ def commit(state, instance, trial):
         state.history.append((t, trial.y.copy(), s.copy(), trial.g.copy()))
 
     state.s_prev = s
+    state.s_prev_side = (trial.As, trial.fAs, trial.psi_s)
     state.y_side.clear()
     state.T.add(t)
     state.k += 1
@@ -263,13 +279,17 @@ def d_conjugate(state, instance):
 
     Zero for the zero reference function; otherwise
     (<grad h(s_{k-1}) - grad h(s_{-1}), s_{k-1}> - D_h(s_{k-1}, s_{-1})) / T.
+    grad h(s_{-1}) is constant for a run: the first call computes it and
+    keeps it on the state as grad_h_anchor.
     """
     if instance.zero_reference:
         return 0.0
     if state.k < 1:
         raise ValueError("perturbation conjugate needs at least one iteration")
     h = instance.h
-    diff = h.gradient(state.s_prev) - h.gradient(state.s_anchor)
+    if state.grad_h_anchor is None:
+        state.grad_h_anchor = h.gradient(state.s_anchor)
+    diff = h.gradient(state.s_prev) - state.grad_h_anchor
     num = float(diff @ state.s_prev) - h.bregman(state.s_prev, state.s_anchor)
     return num / state.T.total
 
@@ -284,21 +304,23 @@ def combination_excess(instance, x, y, g, s, theta):
     return F(comb) - (1.0 - theta) * F(x) - theta * F(s) + theta * D_fa
 
 
-def segment_ends(instance, x, g, s, x_side=None):
+def segment_ends(instance, x, g, s, x_side=None, s_side=None):
     """The theta-independent terms of segment_excess along x -> s.
 
     Returns the tuple (s - x, f(Ax), <g, As - Ax>, Psi(x), Psi(s)): two
     A-applications, one f and two Psi evaluations, paid once per segment.
-    A caller that already holds x_side = (Ax, f(Ax), Psi(x)) passes it in,
-    which leaves one A-application and one Psi evaluation (at s).
+    A caller that already holds x_side = (Ax, f(Ax), Psi(x)) or s_side =
+    (As, Psi(s)) passes it in, which saves the evaluations at that end.
     """
     A = instance.A
     if x_side is None:
         Ax = A.apply(x)
         x_side = (Ax, instance.f.value(Ax), instance.psi.value(x))
+    if s_side is None:
+        s_side = (A.apply(s), instance.psi.value(s))
     Ax, fAx, psi_x = x_side
-    return (s - x, fAx, float(g @ (A.apply(s) - Ax)), psi_x,
-            instance.psi.value(s))
+    As, psi_s = s_side
+    return (s - x, fAx, float(g @ (As - Ax)), psi_x, psi_s)
 
 
 def segment_excess(instance, x, g, s, theta, ends=None):

@@ -167,20 +167,26 @@ class ConditionalSubgradient(_Method):
                                      "got %r" % (declared, instance.name, self.nu))
 
     def step(self, state, instance, k, prev_t):
+        solved = None
         if k == 0:
             t = 1.0  # theta_0 = 1
         elif self.schedule == "theta":
             t = t_from_theta(cg_theta(k, instance.constants["nu"]),
                              state.T.total)
         else:
-            # y = x, so the cached y-side holds Ax, f(Ax) and Psi(x).
+            # y = x, so the cached y-side holds Ax, f(Ax) and Psi(x).  The
+            # search direction s = linmin(c) is the trial's prox step (with
+            # g_psi = -c), so the trial takes s, As and Psi(s) from here.
             y, Ay, g, c, fAy, psi_y = engine.cached_y_side(state, instance,
                                                            self.ysel)
-            theta = linesearch_cg(instance, y, g, instance.psi.linmin(c),
-                                  state.cggap, x_side=(Ay, fAy, psi_y))
+            s = instance.psi.linmin(c)
+            As, psi_s = instance.A.apply(s), instance.psi.value(s)
+            theta = linesearch_cg(instance, y, g, s, state.cggap,
+                                  x_side=(Ay, fAy, psi_y), s_side=(As, psi_s))
             theta = min(max(theta, 1e-12), 1.0 - 1e-9)
             t = t_from_theta(theta, state.T.total)
-        trial = engine.propose(state, instance, self.ysel, t)
+            solved = (s, -c, As, psi_s)
+        trial = engine.propose(state, instance, self.ysel, t, solved)
         engine.commit(state, instance, trial)
         return trial, t
 
@@ -409,11 +415,15 @@ def compatible_configs(instance, iterations):
 
 
 def reference_run(instance, budget):
-    """High-accuracy run of the best matching method; the result is
-    certificate-bracketed (dual surrogate <= optimum <= primal).
+    """High-accuracy run of the best matching method.
 
-    The bracket is checked on the run's final certificate before the value
-    is returned: primal, dual surrogate, delta and both identity residuals
+    Returns (primal value, point) at the run's final iterate; the value is
+    an upper bound on the optimum.  Only the plain weak-duality dual of the
+    final certificate (primal - weak_gap) is a lower bound on it: the
+    perturbed dual surrogate is not, and it can lie above the primal.
+
+    The run's final certificate is checked before the value is returned:
+    primal, dual surrogate, delta and both identity residuals
     must be finite, the plain weak-duality gap at least -1e-9 (+inf is
     allowed) and both residuals at most DEFAULT_TOL.  Otherwise
     ReferenceBracketError is raised.

@@ -56,7 +56,7 @@ class ZeroFunction(SimpleFunction):
         return 0.0
 
     def conjugate(self, v):
-        return 0.0 if np.max(np.abs(v), initial=0.0) <= FEAS_TOL else INF
+        return 0.0 if np.abs(v).max(initial=0.0) <= FEAS_TOL else INF
 
 
 class L1Norm(SimpleFunction):
@@ -66,10 +66,10 @@ class L1Norm(SimpleFunction):
         self.lam = float(lam)
 
     def value(self, x):
-        return self.lam * float(np.sum(np.abs(x)))
+        return self.lam * float(np.abs(x).sum())
 
     def conjugate(self, v):
-        if np.max(np.abs(v), initial=0.0) <= self.lam * (1.0 + FEAS_TOL):
+        if np.abs(v).max(initial=0.0) <= self.lam * (1.0 + FEAS_TOL):
             return 0.0
         return INF
 
@@ -80,6 +80,9 @@ class BoxIndicator(SimpleFunction):
         self.hi = np.asarray(hi, dtype=float)
         if np.any(self.lo > self.hi):
             raise ValueError("empty box")
+        # Whether every coordinate has a finite upper bound (read by the
+        # Burg prox on every trial).
+        self.bounded_above = bool(np.isfinite(self.hi).all())
         # Membership bounds, widened by FEAS_TOL relative to the bound size.
         scale = 1.0 + np.maximum(np.abs(self.lo), np.abs(self.hi))
         self._lo_feas = self.lo - FEAS_TOL * scale
@@ -92,7 +95,7 @@ class BoxIndicator(SimpleFunction):
 
     def conjugate(self, v):
         # Support function of the box.
-        return float(np.sum(np.maximum(v * self.lo, v * self.hi)))
+        return float(np.maximum(v * self.lo, v * self.hi).sum())
 
     def linmin(self, c):
         return np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.lo))
@@ -100,12 +103,12 @@ class BoxIndicator(SimpleFunction):
 
 class SimplexIndicator(SimpleFunction):
     def value(self, x):
-        if np.any(x < -FEAS_TOL) or abs(float(np.sum(x)) - 1.0) > FEAS_TOL * x.size:
+        if (x < -FEAS_TOL).any() or abs(float(x.sum()) - 1.0) > FEAS_TOL * x.size:
             return INF
         return 0.0
 
     def conjugate(self, v):
-        return float(np.max(v))
+        return float(v.max())
 
     def linmin(self, c):
         out = np.zeros_like(c)
@@ -120,12 +123,12 @@ class L1BallIndicator(SimpleFunction):
         self.radius = float(radius)
 
     def value(self, x):
-        if float(np.sum(np.abs(x))) <= self.radius * (1.0 + FEAS_TOL):
+        if float(np.abs(x).sum()) <= self.radius * (1.0 + FEAS_TOL):
             return 0.0
         return INF
 
     def conjugate(self, v):
-        return self.radius * float(np.max(np.abs(v), initial=0.0))
+        return self.radius * float(np.abs(v).max(initial=0.0))
 
     def linmin(self, c):
         # Vertex -R * sign(c_j) e_j for the first coordinate of largest |c_j|.

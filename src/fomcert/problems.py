@@ -180,15 +180,15 @@ def _make_poisson_burg(rng, n=10, m=15, lo=0.1, hi=10.0):
     b = B @ x_true
 
     def value(y):
-        if np.any(y <= 0.0):
+        if (y <= 0.0).any():
             return INF
-        return float(np.sum(y - b * np.log(y)))
+        return float((y - b * np.log(y)).sum())
 
     f = SmoothOracle(
         value=value,
         subgradient=lambda y: 1.0 - b / y,
-        conjugate=lambda u: (float(np.sum(b * np.log(b / (1.0 - u)) - b))
-                             if np.all(u < 1.0) else INF),
+        conjugate=lambda u: (float((b * np.log(b / (1.0 - u)) - b).sum())
+                             if (u < 1.0).all() else INF),
     )
     L = float(np.sum(b))
     start = np.ones(n)
@@ -208,10 +208,10 @@ def _make_l1_regression(rng, n=10, m=20, box=1.0):
     b = B @ x_true + 0.1 * rng.normals(m)
 
     f = SmoothOracle(
-        value=lambda y: float(np.sum(np.abs(y - b))),
+        value=lambda y: float(np.abs(y - b).sum()),
         subgradient=lambda y: np.sign(y - b),
         conjugate=lambda u: (float(u @ b)
-                             if np.max(np.abs(u), initial=0.0) <= 1.0 + 1e-9 else INF),
+                             if np.abs(u).max(initial=0.0) <= 1.0 + 1e-9 else INF),
         differentiable=False,
     )
     # Relative continuity constant: squared bound on any subgradient of
@@ -464,7 +464,7 @@ def verify_constants(instance, samples=1000, seed=12345, constants=None):
 
 def reference_optimum(instance, budget=20000):
     """Optimal value and point: the registered optimum when present, else a
-    long certificate-bracketed run of the matching method."""
+    long checked run of the matching method (see methods.reference_run)."""
     if instance.known_optimum is not None:
         return instance.known_optimum
     return methods.reference_run(instance, budget)

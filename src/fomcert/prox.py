@@ -46,7 +46,7 @@ def _solve_sq_l1(c, t, s_prev, h, psi):
 
 
 def _solve_sq_box(c, t, s_prev, h, psi):
-    s = np.clip(s_prev - t * c, psi.lo, psi.hi)
+    s = (s_prev - t * c).clip(psi.lo, psi.hi)
     return s, _gpsi_sq(c, t, s_prev, s)
 
 
@@ -56,10 +56,10 @@ def _solve_sq_simplex(c, t, s_prev, h, psi):
 
 
 def _solve_entropy_simplex(c, t, s_prev, h, psi):
-    if np.any(s_prev <= 0.0):
+    if (s_prev <= 0.0).any():
         raise DomainError("entropy prox needs a strictly positive previous point")
     s, log_z = _kernels.entropy_prox_simplex(np.log(s_prev), t * c)
-    if np.any(s < MIN_POSITIVE):
+    if (s < MIN_POSITIVE).any():
         raise DomainError("entropy prox underflow at the simplex boundary")
     # grad h(s_prev) - grad h(s) = t*c + log_z, so g_psi is the constant
     # vector log_z / t, a subgradient of the simplex indicator everywhere.
@@ -68,13 +68,13 @@ def _solve_entropy_simplex(c, t, s_prev, h, psi):
 
 
 def _solve_burg_box(c, t, s_prev, h, psi):
-    if np.any(s_prev <= 0.0):
+    if (s_prev <= 0.0).any():
         raise DomainError("Burg prox needs a strictly positive previous point")
     denom = 1.0 + t * c * s_prev
-    if np.any(denom <= 0.0) and not np.all(np.isfinite(psi.hi)):
+    if (denom <= 0.0).any() and not psi.bounded_above:
         raise NotAdmissible("Burg subproblem unbounded below without an upper box bound")
     s_unc = np.where(denom > 0.0, s_prev / np.where(denom > 0.0, denom, 1.0), np.inf)
-    s = np.clip(s_unc, psi.lo, psi.hi)
+    s = s_unc.clip(psi.lo, psi.hi)
     g_psi = (-1.0 / s_prev + 1.0 / s) / t - c
     return s, g_psi
 

@@ -47,18 +47,18 @@ class Entropy(ReferenceFunction):
     kind = "entropy"
 
     def value(self, x):
-        if np.any(x < 0.0):
+        if (x < 0.0).any():
             raise DomainError("entropy needs nonnegative coordinates")
         mask = x > 0.0
-        return float(np.sum(x[mask] * np.log(x[mask])))
+        return float((x[mask] * np.log(x[mask])).sum())
 
     def gradient(self, x):
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             raise DomainError("entropy gradient needs strictly positive coordinates")
         return 1.0 + np.log(x)
 
     def bregman(self, s, z):
-        if np.any(s < 0.0) or np.any(z <= 0.0):
+        if (s < 0.0).any() or (z <= 0.0).any():
             raise DomainError("entropy Bregman distance outside domain")
         return _kernels.entropy_bregman(s, z)
 
@@ -69,17 +69,17 @@ class Burg(ReferenceFunction):
     kind = "burg"
 
     def value(self, x):
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             raise DomainError("Burg entropy needs strictly positive coordinates")
-        return -float(np.sum(np.log(x)))
+        return -float(np.log(x).sum())
 
     def gradient(self, x):
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             raise DomainError("Burg gradient needs strictly positive coordinates")
         return -1.0 / x
 
     def bregman(self, s, z):
-        if np.any(s <= 0.0) or np.any(z <= 0.0):
+        if (s <= 0.0).any() or (z <= 0.0).any():
             raise DomainError("Burg Bregman distance outside domain")
         return _kernels.burg_bregman(s, z)
 

@@ -111,17 +111,18 @@ def backtrack(state, instance, ysel, rule, t_start=None):
 
 
 def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10,
-                  x_side=None):
+                  x_side=None, s_side=None):
     """Golden-section minimization of (1-theta)*CGgap + D(x, s, theta) on [0,1].
 
     The segment's theta-independent terms (segment_ends) are computed once;
     each of the evals trial thetas then costs one segment_excess call, i.e.
     one A-application, one f and one Psi evaluation at the combination
     point.  A whole search makes evals + 2 A-applications, evals + 1 f and
-    evals + 2 Psi evaluations, or evals + 1, evals and evals + 1 when the
-    caller passes x_side = (Ax, f(Ax), Psi(x)).
+    evals + 2 Psi evaluations.  A caller passing x_side = (Ax, f(Ax),
+    Psi(x)) saves one of each; one passing s_side = (As, Psi(s)) saves an
+    A-application and a Psi evaluation.
     """
-    ends = segment_ends(instance, x, g, s, x_side=x_side)
+    ends = segment_ends(instance, x, g, s, x_side=x_side, s_side=s_side)
     phi = lambda theta: (1.0 - theta) * cggap + segment_excess(
         instance, x, g, s, theta, ends=ends)
     invphi = (5 ** 0.5 - 1) / 2

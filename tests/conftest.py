@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fomcert.linalg import LinearMap
-from fomcert.oracles import ProblemInstance, SmoothOracle, ZeroFunction
-from fomcert.reference import SquaredEuclidean
+from fomcert.oracles import FEAS_TOL, INF, ProblemInstance, SmoothOracle, ZeroFunction
+from fomcert.prox import NotAdmissible
+from fomcert.reference import MIN_POSITIVE, DomainError, SquaredEuclidean
 
 
 def quadratic_1d(start=1.0, curvature=1.0):
@@ -34,3 +35,148 @@ def segment_excess_unhoisted(instance, x, g, s, theta):
     Ax, Acomb = A.apply(x), A.apply(comb)
     D_f = f.value(Acomb) - f.value(Ax) - theta * float(g @ (A.apply(s) - Ax))
     return D_f + psi.value(comb) - (1.0 - theta) * psi.value(x) - theta * psi.value(s)
+
+
+# The module-function forms (np.any, np.sum, np.max, np.clip, ...) that the
+# per-trial oracles, kernels, Bregman distances and prox solvers had before
+# they called the ndarray methods.  The rewritten forms must return exactly
+# these values and raise the same errors.
+def old_entropy_value(x):
+    if np.any(x < 0.0):
+        raise DomainError("entropy needs nonnegative coordinates")
+    mask = x > 0.0
+    return float(np.sum(x[mask] * np.log(x[mask])))
+
+
+def old_entropy_gradient(x):
+    if np.any(x <= 0.0):
+        raise DomainError("entropy gradient needs strictly positive coordinates")
+    return 1.0 + np.log(x)
+
+
+def old_entropy_bregman_kernel(s, z):
+    out = 0.0
+    mask = s > 0.0
+    out = float(np.sum(s[mask] * np.log(s[mask] / z[mask])))
+    return out - float(np.sum(s)) + float(np.sum(z))
+
+
+def old_entropy_bregman(s, z):
+    if np.any(s < 0.0) or np.any(z <= 0.0):
+        raise DomainError("entropy Bregman distance outside domain")
+    return old_entropy_bregman_kernel(s, z)
+
+
+def old_burg_value(x):
+    if np.any(x <= 0.0):
+        raise DomainError("Burg entropy needs strictly positive coordinates")
+    return -float(np.sum(np.log(x)))
+
+
+def old_burg_gradient(x):
+    if np.any(x <= 0.0):
+        raise DomainError("Burg gradient needs strictly positive coordinates")
+    return -1.0 / x
+
+
+def old_burg_bregman_kernel(s, z):
+    r = s / z
+    return float(np.sum(r - np.log(r) - 1.0))
+
+
+def old_burg_bregman(s, z):
+    if np.any(s <= 0.0) or np.any(z <= 0.0):
+        raise DomainError("Burg Bregman distance outside domain")
+    return old_burg_bregman_kernel(s, z)
+
+
+def old_entropy_prox_simplex(log_s_prev, tc):
+    w = log_s_prev - tc
+    m = np.max(w)
+    e = np.exp(w - m)
+    z = np.sum(e)
+    log_z = m + np.log(z)
+    return e / z, log_z
+
+
+def old_zero_conjugate(v):
+    return 0.0 if np.max(np.abs(v), initial=0.0) <= FEAS_TOL else INF
+
+
+def old_l1_value(lam, x):
+    return lam * float(np.sum(np.abs(x)))
+
+
+def old_l1_conjugate(lam, v):
+    if np.max(np.abs(v), initial=0.0) <= lam * (1.0 + FEAS_TOL):
+        return 0.0
+    return INF
+
+
+def old_box_conjugate(lo, hi, v):
+    return float(np.sum(np.maximum(v * lo, v * hi)))
+
+
+def old_simplex_value(x):
+    if np.any(x < -FEAS_TOL) or abs(float(np.sum(x)) - 1.0) > FEAS_TOL * x.size:
+        return INF
+    return 0.0
+
+
+def old_simplex_conjugate(v):
+    return float(np.max(v))
+
+
+def old_l1ball_value(radius, x):
+    if float(np.sum(np.abs(x))) <= radius * (1.0 + FEAS_TOL):
+        return 0.0
+    return INF
+
+
+def old_l1ball_conjugate(radius, v):
+    return radius * float(np.max(np.abs(v), initial=0.0))
+
+
+def old_poisson_value(b, y):
+    if np.any(y <= 0.0):
+        return INF
+    return float(np.sum(y - b * np.log(y)))
+
+
+def old_poisson_conjugate(b, u):
+    return (float(np.sum(b * np.log(b / (1.0 - u)) - b))
+            if np.all(u < 1.0) else INF)
+
+
+def old_l1_regression_value(b, y):
+    return float(np.sum(np.abs(y - b)))
+
+
+def old_l1_regression_conjugate(b, u):
+    return (float(u @ b)
+            if np.max(np.abs(u), initial=0.0) <= 1.0 + 1e-9 else INF)
+
+
+def old_solve_sq_box(c, t, s_prev, psi):
+    s = np.clip(s_prev - t * c, psi.lo, psi.hi)
+    return s, (s_prev - s) / t - c
+
+
+def old_solve_entropy_simplex(c, t, s_prev):
+    if np.any(s_prev <= 0.0):
+        raise DomainError("entropy prox needs a strictly positive previous point")
+    s, log_z = old_entropy_prox_simplex(np.log(s_prev), t * c)
+    if np.any(s < MIN_POSITIVE):
+        raise DomainError("entropy prox underflow at the simplex boundary")
+    return s, np.full_like(s, log_z / t)
+
+
+def old_solve_burg_box(c, t, s_prev, psi):
+    if np.any(s_prev <= 0.0):
+        raise DomainError("Burg prox needs a strictly positive previous point")
+    denom = 1.0 + t * c * s_prev
+    if np.any(denom <= 0.0) and not np.all(np.isfinite(psi.hi)):
+        raise NotAdmissible("Burg subproblem unbounded below without an upper box bound")
+    s_unc = np.where(denom > 0.0, s_prev / np.where(denom > 0.0, denom, 1.0), np.inf)
+    s = np.clip(s_unc, psi.lo, psi.hi)
+    return s, (-1.0 / s_prev + 1.0 / s) / t - c

@@ -218,6 +218,32 @@ def test_run_bad_fom_tol_exits_1(tmp_path, capsys, monkeypatch, value):
     assert len(err) == 1 and err[0].startswith("config error: FOM_TOL"), err
 
 
+@pytest.mark.parametrize("instance,method,constants", [
+    ("l1-regression", "prox_subgradient", {"M": "abc"}),
+    ("l1-regression", "prox_subgradient", {"M": None}),
+    ("lasso", "prox_gradient", {"Q": 1}),
+    ("lasso", "prox_gradient", {"L": -1}),
+    ("lasso", "prox_gradient", {"L": True}),
+    ("lasso", "prox_gradient", {"L": float("inf")}),
+    ("lasso", "prox_gradient", {"L": 0}),
+], ids=repr)
+def test_run_bad_constant_override_exits_1(tmp_path, capsys, instance, method,
+                                           constants):
+    name = next(iter(constants))
+    line = _config_error(
+        tmp_path, capsys,
+        instance={"name": instance, "seed": 0, "constants": constants},
+        method={"name": method}, reference=True)
+    assert line.startswith("config error: constants.%s " % name), line
+
+
+def test_run_bad_constants_object_exits_1(tmp_path, capsys):
+    line = _config_error(
+        tmp_path, capsys,
+        instance={"name": "lasso", "seed": 0, "constants": [["L", 1.0]]})
+    assert line.startswith("config error: constants must be an object"), line
+
+
 def test_run_fault_injection_exits_2(tmp_path):
     # Declaring L far too small makes the convergence-bound check fail.
     cfgpath = _write_config(
@@ -275,6 +301,18 @@ def test_verify_fault_injection(capsys):
                      "--scale-constant", "M=0.01"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert not report["passed"]
+
+
+@pytest.mark.parametrize("factor", ["-1", "0", "nan", "inf", "-inf"])
+def test_verify_bad_scale_factor_exits_1(capsys, factor):
+    # A scaled constant that is not finite and > 0 used to pass every check.
+    assert cli.main(["verify", "--instance", "lasso", "--samples", "50",
+                     "--scale-constant", "L=" + factor]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "config error: bad --scale-constant 'L=%s' (the scaled L " % factor), err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

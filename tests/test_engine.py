@@ -231,3 +231,73 @@ def test_cached_trials_match_fresh_proposals(name):
             assert trial.fAy == inst.f.value(trial.Ay)
             assert trial.psi_y == inst.psi.value(y)
         engine.commit(state, inst, second[(PROX_POINT, FAST_COMBO)[k % 2]])
+
+
+@pytest.mark.parametrize("name,method", [("lasso", "prox_gradient"),
+                                         ("l1-regression", "prox_subgradient")])
+def test_prox_point_step_reuses_committed_s_side(monkeypatch, name, method):
+    # Each trial applies A once (at s) and evaluates f and Psi twice (at s
+    # and at the combination point).  The y-side at y = s_prev reuses the
+    # accepted trial's A s, f(As) and Psi(s), so it adds none of them.
+    from fomcert.methods import METHODS
+    inst = make_instance(name, seed=0)
+    config = METHODS[method](iterations=30)
+    state = init(inst)
+    calls = {"A": 0, "f": 0, "psi": 0, "trials": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inst.A, "apply", counting("A", inst.A.apply))
+    monkeypatch.setattr(inst.f, "value", counting("f", inst.f.value))
+    monkeypatch.setattr(inst.psi, "value", counting("psi", inst.psi.value))
+    monkeypatch.setattr(engine, "prox_step", counting("trials", engine.prox_step))
+    prev_t = None
+    for k in range(config.iterations):
+        for key in calls:
+            calls[key] = 0
+        _, prev_t = config.step(state, inst, k, prev_t)
+        trials = calls["trials"]
+        assert trials >= 1
+        assert calls["A"] == trials
+        assert calls["f"] == 2 * trials
+        assert calls["psi"] == 2 * trials
+
+
+@pytest.mark.parametrize("name", ["poisson-burg", "lasso"])
+def test_carried_s_side_equals_fresh_evaluation(name):
+    from fomcert.methods import ProxGradient
+    inst = make_instance(name, seed=0)
+    if name == "lasso":  # a start where Psi = lam |.|_1 is not zero
+        inst.feasible_start = np.full(inst.A.in_dim, 0.1)
+    config = ProxGradient(iterations=200)
+    state = init(inst)
+    prev_t = None
+    for k in range(config.iterations + 1):
+        As, fAs, psi_s = state.s_prev_side
+        fresh = inst.A.apply(state.s_prev)
+        assert (As == fresh).all(), k
+        assert fAs == inst.f.value(fresh), k
+        assert psi_s == inst.psi.value(state.s_prev), k
+        if k < config.iterations:
+            _, prev_t = config.step(state, inst, k, prev_t)
+
+
+def test_anchor_gradient_computed_once_per_run(monkeypatch):
+    from fomcert.methods import ProxGradient, run
+    inst = make_instance("poisson-burg", seed=0)
+    args = []
+    gradient = inst.h.gradient
+
+    def recording(x):
+        args.append(x)
+        return gradient(x)
+
+    monkeypatch.setattr(inst.h, "gradient", recording)
+    trace = run(inst, ProxGradient(iterations=40))
+    assert not trace.violations
+    assert sum(x is trace.state.s_anchor for x in args) == 1
+    assert len(args) == 40 + 1  # grad h(s_prev) on each certified row

@@ -252,23 +252,33 @@ def test_linesearch_with_x_side_is_bitwise_same():
 
 def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch):
     # A line-search step evaluates the y-side (A x, f(Ax), Psi(x), as
-    # y = x), then A s and Psi(s) once for the search and one A, f and Psi
-    # per trial theta, then A s, f(As), Psi(s) and f, Psi at the combination
-    # in finish_trial.  The search reads A x, f(Ax), Psi(x) from the cache.
+    # y = x), one linmin for the direction s, A s and Psi(s) once, and one
+    # A, f and Psi per trial theta, then f(As) and f, Psi at the combination
+    # in finish_trial.  The search reads A x, f(Ax), Psi(x) from the cache,
+    # and the trial takes s, A s and Psi(s) from the search.
     inst = make_instance("cg-ball", seed=0)
     config = ConditionalSubgradient(iterations=20, schedule="linesearch")
     state = init(inst)
     config.step(state, inst, 0, None)  # theta_0 = 1, no search
     calls = _count_evaluations(monkeypatch, inst)
+    linmin = inst.psi.linmin
+    calls["linmin"] = 0
+
+    def counting_linmin(c):
+        calls["linmin"] += 1
+        return linmin(c)
+
+    monkeypatch.setattr(inst.psi, "linmin", counting_linmin)
     for k in range(1, config.iterations):
         for key in calls:
             calls[key] = 0
         config.step(state, inst, k, state.last_t)
         evals = calls["evals"]
         assert evals > 2
-        assert calls["A"] == evals + 3
+        assert calls["linmin"] == 1
+        assert calls["A"] == evals + 2
         assert calls["f"] == evals + 3
-        assert calls["psi"] == evals + 4
+        assert calls["psi"] == evals + 3
 
 
 @pytest.mark.parametrize("gamma,L", [(1.5, 1.0), (2.0, 1.0), (2.0, 10.0)])
