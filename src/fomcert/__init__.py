@@ -1,7 +1,7 @@
 """First-order convex optimization with certified perturbed-duality gaps."""
 
 from ._kernels import IMPLEMENTATION as kernel_implementation
-from .engine import certificate, init, iterate, combination_excess, segment_excess
+from .engine import certificate, init, segment_excess
 from .linalg import LinearMap
 from .methods import (
     ConditionalSubgradient,
@@ -18,8 +18,8 @@ from .prox import prox_step
 __all__ = [
     "ConditionalSubgradient", "FastGradient", "LinearMap", "ProblemInstance",
     "ProxGradient", "ProxSubgradient", "SmoothOracle", "UniversalGradient",
-    "certificate", "init", "iterate", "kernel_implementation", "make_instance",
-    "prox_step", "reference_optimum", "run", "combination_excess", "segment_excess",
+    "certificate", "init", "kernel_implementation", "make_instance",
+    "prox_step", "reference_optimum", "run", "segment_excess",
     "verify_constants",
 ]
 

@@ -5,17 +5,28 @@ import numpy as np
 IMPLEMENTATION = "python"
 
 
+class DomainError(ValueError):
+    """A point outside the domain of a function or a kernel."""
+
+
 def soft_threshold(v, tau):
     """Componentwise shrink: sign(v) * max(|v| - tau, 0)."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def project_simplex(v):
-    """Euclidean projection onto the unit simplex (sort-based)."""
+    """Euclidean projection onto the unit simplex (sort-based).
+
+    Raises DomainError when v has a +inf or NaN entry: then no sorted
+    prefix passes the threshold test.
+    """
     n = v.size
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0][-1]
+    passing = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0]
+    if not passing.size:
+        raise DomainError("simplex projection of a +inf or NaN entry")
+    rho = passing[-1]
     lam = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - lam, 0.0)
 

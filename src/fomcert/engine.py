@@ -3,7 +3,6 @@ certificates with runtime identity residuals."""
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class Certificate:
     delta: float
     thm1_residual: float
     thm2_residual: float
-    bound: Optional[float] = None
     # Plain Fenchel-dual gap primal - (-f*(u) - Psi*(-A*u)); nonnegative by
     # weak duality, possibly +inf when -A*u falls outside dom(Psi*).  The
     # perturbed gap above is the one bounded by delta; it is not a weak
@@ -64,7 +62,7 @@ class EngineState:
     """Mutable per-run state: current iterate data plus the running sums
     behind the average sequences and the conjugate accumulators."""
 
-    def __init__(self, instance, record_history=False):
+    def __init__(self, instance):
         start = np.asarray(instance.feasible_start, dtype=float)
         psi_start = instance.psi.value(start)
         if not math.isfinite(psi_start):
@@ -90,22 +88,16 @@ class EngineState:
         self.Cpsi = _Kahan()    # sum t_i Psi*(g_i^Psi)
         self.Sfy = _Kahan()     # sum t_i f(A y_i)
         self.Spsiy = _Kahan()   # sum t_i Psi(y_i)
-        self.Sprimal_s = _Kahan()
         self.Ssub = _Kahan()    # right side accumulator, subgradient identity
         self.Sgrad = _Kahan()   # right side accumulator, gradient identity
-        self.Ssq = _Kahan()     # sum t_i^2 (subgradient rate bookkeeping)
-        self.Seps = _Kahan()    # sum max(0, t D/theta - D_h)
         self.cggap = 0.0
-        self.last_t = None
-        self.last_theta = None
-        self.history = [] if record_history else None
         # Per-iteration y-side data (y, Ay, g, c, f(Ay), Psi(y)) by selector,
         # for the selectors whose y does not depend on t; cleared by commit.
         self.y_side = {}
 
 
-def init(instance, record_history=False):
-    return EngineState(instance, record_history=record_history)
+def init(instance):
+    return EngineState(instance)
 
 
 class TrialStep:
@@ -231,19 +223,16 @@ def commit(state, instance, trial):
     state.Cpsi.add(t * (float(trial.g_psi @ s) - trial.psi_s))
     state.Sfy.add(t * trial.fAy)
     state.Spsiy.add(t * trial.psi_y)
-    state.Sprimal_s.add(t * (trial.fAs + trial.psi_s))
     state.Ssub.add(ssub_term)
     state.Sgrad.add(trial.sgrad_term)
-    state.Ssq.add(t * t)
-    state.Seps.add(max(0.0, trial.sgrad_term))
     state.U += t * trial.g
     state.W += t * (trial.c + trial.g_psi)
 
     if instance.zero_reference:
         if state.k == 0:
             state.cggap = trial.excess  # theta_0 = 1: D(x_0, s_0, 1)
-        else:
-            state.cggap = cggap_update(state.cggap, trial.excess, theta)
+        else:  # the CG gap recursion (1 - theta) * gap + D
+            state.cggap = (1.0 - theta) * state.cggap + trial.excess
 
     state.x = trial.x_comb
     state.Ax = trial.Ax_comb
@@ -251,27 +240,12 @@ def commit(state, instance, trial):
     state.z = (1.0 - theta) * state.z + theta * trial.y
     state.Az = (1.0 - theta) * state.Az + theta * trial.Ay
 
-    if state.history is not None:
-        state.history.append((t, trial.y.copy(), s.copy(), trial.g.copy()))
-
     state.s_prev = s
     state.s_prev_side = (trial.As, trial.fAs, trial.psi_s)
     state.y_side.clear()
     state.T.add(t)
     state.k += 1
-    state.last_t = t
-    state.last_theta = theta
     return state
-
-
-def iterate(state, instance, ysel, t):
-    """One full iteration of the meta-algorithm at a caller-chosen step size."""
-    return commit(state, instance, propose(state, instance, ysel, t))
-
-
-def cggap_update(cggap, Dval, theta):
-    """Conditional-gradient gap recursion: (1-theta) * gap + D value."""
-    return (1.0 - theta) * cggap + Dval
 
 
 def d_conjugate(state, instance):
@@ -292,16 +266,6 @@ def d_conjugate(state, instance):
     diff = h.gradient(state.s_prev) - state.grad_h_anchor
     num = float(diff @ state.s_prev) - h.bregman(state.s_prev, state.s_anchor)
     return num / state.T.total
-
-
-def combination_excess(instance, x, y, g, s, theta):
-    """The four-point excess function behind the gradient-form identity."""
-    A, f, psi = instance.A, instance.f, instance.psi
-    comb = x + theta * (s - x)
-    F = lambda v: f.value(A.apply(v)) + psi.value(v)
-    As, Ay = A.apply(s), A.apply(y)
-    D_fa = f.value(As) - f.value(Ay) - float(g @ (As - Ay))
-    return F(comb) - (1.0 - theta) * F(x) - theta * F(s) + theta * D_fa
 
 
 def segment_ends(instance, x, g, s, x_side=None, s_side=None):
@@ -356,7 +320,7 @@ def identity_residuals(state, instance, dstar):
     return res1, res2
 
 
-def certificate(state, instance, mode="x", bound=None):
+def certificate(state, instance, mode="x"):
     """Duality certificate at the current averages.
 
     mode "x" reports the s-average point with the gradient-form slack;
@@ -387,15 +351,4 @@ def certificate(state, instance, mode="x", bound=None):
     res1, res2 = identity_residuals(state, instance, dstar)
     return Certificate(primal=primal, dual_surrogate=dual, gap=primal - dual,
                        delta=delta, thm1_residual=res1, thm2_residual=res2,
-                       bound=bound, weak_gap=primal - plain_dual)
-
-
-def averages_from_history(state):
-    """Recompute (x_k, z_k, u_k) directly from the stored per-iteration data."""
-    if not state.history:
-        raise ValueError("state was created without history recording")
-    T = sum(t for t, _, _, _ in state.history)
-    x = sum(t * s for t, _, s, _ in state.history) / T
-    z = sum(t * y for t, y, _, _ in state.history) / T
-    u = sum(t * g for t, _, _, g in state.history) / T
-    return x, z, u
+                       weak_gap=primal - plain_dual)

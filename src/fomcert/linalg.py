@@ -7,16 +7,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def as_vector(x):
-    """Coerce to a 1-d float64 array and check finiteness."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector, got shape %s" % (v.shape,))
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    return v
-
-
 class LinearMap:
     """A linear map together with its exact adjoint (transpose) action.
 
@@ -74,6 +64,3 @@ class LinearMap:
         if self._matrix is None:
             return u.copy()
         return self._matrix.T @ u
-
-    def __call__(self, x):
-        return self.apply(x)

@@ -9,14 +9,8 @@ from . import engine
 from .engine import CURRENT_AVERAGE, FAST_COMBO, PROX_POINT
 from .oracles import ProblemInstance
 from .reference import SquaredEuclidean
-from .steprules import (
-    BacktrackSmooth,
-    BacktrackUniversal,
-    backtrack,
-    cg_theta,
-    linesearch_cg,
-    t_from_theta,
-)
+from .steprules import (Backtrack, backtrack, cg_theta, linesearch_cg,
+                        t_from_theta)
 from .trace import Trace, TraceRow
 
 DEFAULT_TOL = 1e-8
@@ -89,6 +83,7 @@ class _Method:
     bound_kind = "suboptimality"
     zero_reference = False
     needs_gradient = True
+    eps = 0.0  # the backtracked descent condition's slack per unit step
 
     @classmethod
     def presets(cls, instance, iterations):
@@ -114,8 +109,8 @@ class _Method:
         """Commit iteration k under the step rule, given the step prev_t
         accepted at k - 1 (None at k = 0); returns (trial, t)."""
         # Backtracked rules, warm-started from the previously accepted step.
-        trial, _ = backtrack(state, instance, self.ysel, self.rule,
-                             t_start=prev_t)
+        trial = backtrack(state, instance, self.ysel, self.rule,
+                          t_start=prev_t, eps=self.eps)
         engine.commit(state, instance, trial)
         return trial, trial.t
 
@@ -199,7 +194,7 @@ class ConditionalSubgradient(_Method):
 @dataclass
 class ProxGradient(_Method):
     iterations: int
-    rule: BacktrackSmooth = field(default_factory=BacktrackSmooth)
+    rule: Backtrack = field(default_factory=Backtrack)
 
     name = "prox_gradient"
     ysel = PROX_POINT
@@ -210,7 +205,7 @@ class ProxGradient(_Method):
     @classmethod
     def from_spec(cls, spec, iterations):
         opts = _read_spec(spec, cls.name, r=2.0, t_init=1.0)
-        return cls(iterations, rule=BacktrackSmooth(**opts))
+        return cls(iterations, rule=Backtrack(**opts))
 
     def _bound(self, con, k, Dh0):
         return self.rule.r * con["L"] * Dh0 / k
@@ -249,7 +244,7 @@ class ProxSubgradient(_Method):
 class FastGradient(_Method):
     iterations: int
     gamma: float = 2.0
-    rule: BacktrackSmooth = field(default_factory=BacktrackSmooth)
+    rule: Backtrack = field(default_factory=Backtrack)
 
     name = "fast_gradient"
     ysel = FAST_COMBO
@@ -261,7 +256,7 @@ class FastGradient(_Method):
     def from_spec(cls, spec, iterations):
         opts = _read_spec(spec, cls.name, gamma=2.0, r=2.0, t_init=1.0)
         gamma = opts.pop("gamma")
-        return cls(iterations, gamma=gamma, rule=BacktrackSmooth(**opts))
+        return cls(iterations, gamma=gamma, rule=Backtrack(**opts))
 
     @classmethod
     def presets(cls, instance, iterations):
@@ -280,7 +275,7 @@ class FastGradient(_Method):
 class UniversalGradient(_Method):
     iterations: int
     eps: float = 1e-3
-    rule: BacktrackUniversal = None
+    rule: Backtrack = field(default_factory=Backtrack)
 
     name = "universal_gradient"
     ysel = FAST_COMBO
@@ -288,16 +283,11 @@ class UniversalGradient(_Method):
     needs = ("M", "nu")
     theory_exponent = None  # depends on the instance's nu
 
-    def __post_init__(self):
-        if self.rule is None:
-            self.rule = BacktrackUniversal(eps=self.eps)
-        else:
-            self.rule.eps = self.eps
-
     @classmethod
     def from_spec(cls, spec, iterations):
         opts = _read_spec(spec, cls.name, eps=1e-3, r=2.0, t_init=1.0)
-        return cls(iterations, eps=opts["eps"], rule=BacktrackUniversal(**opts))
+        eps = opts.pop("eps")
+        return cls(iterations, eps=eps, rule=Backtrack(**opts))
 
     def _bound(self, con, k, Dh0):
         nu = con["nu"]
@@ -315,16 +305,15 @@ METHODS = {m.name: m for m in (ConditionalSubgradient, ProxGradient,
 
 def rate_bound(config, instance, k, aux=None):
     # A module global so that the benchmark can time every bound by this name.
-    return config.bound(instance, k, aux)
+    # A bound past the float range is +inf, which _check_row records as a
+    # non-finite bound.
+    try:
+        return config.bound(instance, k, aux)
+    except OverflowError:
+        return math.inf
 
 
-def subgradient_rhs_check(state, instance):
-    """Right-hand side M * (sum t_i^2 / 2) / T of the subgradient rate."""
-    return instance.constants["M"] * (state.Ssq.total / 2.0) / state.T.total
-
-
-def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
-        record_history=False):
+def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True):
     """Execute a configured method, producing a per-iteration trace.
 
     reference, when given, is an (value, point) pair used to evaluate the
@@ -338,7 +327,7 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
     """
     config.check_compatible(instance)
     t0 = time.perf_counter()
-    state = engine.init(instance, record_history=record_history)
+    state = engine.init(instance)
     ref_value = None
     aux = None
     if reference is not None:
@@ -353,8 +342,7 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True,
         trial, prev_t = config.step(state, instance, k, prev_t)
         bound = rate_bound(config, instance, state.k, aux)
         if check or state.k == config.iterations:
-            cert = engine.certificate(state, instance, mode=config.reported,
-                                      bound=bound)
+            cert = engine.certificate(state, instance, mode=config.reported)
         else:
             cert = _UNCERTIFIED
         cggap = state.cggap if instance.zero_reference else None

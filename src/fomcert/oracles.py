@@ -15,14 +15,6 @@ INF = float("inf")
 FEAS_TOL = 1e-9
 
 
-def fenchel_conjugate_at_subgradient(value, point, g):
-    """Conjugate value via the Fenchel-Young equality <g, point> - value.
-
-    Exact whenever g is a subgradient of the function at point.
-    """
-    return float(g @ point) - value
-
-
 @dataclass
 class SmoothOracle:
     """The smooth (outer) part f with a subgradient and conjugate oracle."""
@@ -31,23 +23,19 @@ class SmoothOracle:
     subgradient: Callable[[np.ndarray], np.ndarray]
     conjugate: Callable[[np.ndarray], float]
     differentiable: bool = True
-    domain: str = "all"
 
 
 class SimpleFunction:
     """The simple part of the objective (Psi): possibly nonsmooth, possibly
-    an indicator; evaluable, conjugable, and linearly minimizable when the
-    domain is compact."""
+    an indicator; evaluable and conjugable.  A subclass whose domain is
+    compact also defines linmin(c) = argmin_s <c, s> + Psi(s), the
+    lowest-index vertex on ties; the zero reference function needs it."""
 
     def value(self, x):
         raise NotImplementedError
 
     def conjugate(self, v):
         """Psi*(v) = sup_x <v, x> - Psi(x)."""
-        raise NotImplementedError
-
-    def linmin(self, c):
-        """argmin_s <c, s> + Psi(s); lowest-index vertex on ties."""
         raise NotImplementedError
 
 

@@ -15,7 +15,6 @@ from .oracles import (
     BoxIndicator,
     L1BallIndicator,
     L1Norm,
-    SimpleFunction,
     SimplexIndicator,
     ZeroFunction,
 )
@@ -91,7 +90,6 @@ _REGISTRY = {
     ("sq_euclid", SimplexIndicator): _solve_sq_simplex,
     ("entropy", SimplexIndicator): _solve_entropy_simplex,
     ("burg", BoxIndicator): _solve_burg_box,
-    ("zero", SimpleFunction): _solve_zero_linmin,
 }
 
 
@@ -112,12 +110,3 @@ def prox_step(instance, c, t, s_prev):
     if solver is None:
         raise UnsupportedPair("no solver for (%s, %s)" % (h.kind, type(psi).__name__))
     return solver(c, t, s_prev, h, psi)
-
-
-def optimality_residual(instance, c, t, s_prev, s, g_psi):
-    """Max-norm residual of the optimality conditions (zero reference: 0)."""
-    h = instance.h
-    if h.kind == "zero":
-        return 0.0
-    r = t * (c + g_psi) + h.gradient(s) - h.gradient(s_prev)
-    return float(np.max(np.abs(r), initial=0.0))

@@ -3,10 +3,7 @@
 import numpy as np
 
 from . import _kernels
-
-
-class DomainError(ValueError):
-    pass
+from ._kernels import DomainError
 
 
 MIN_POSITIVE = 1e-300

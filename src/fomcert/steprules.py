@@ -3,10 +3,16 @@ backtracking for the descent conditions, and the CG line search."""
 
 from dataclasses import dataclass
 
-from . import engine
 from .engine import propose, segment_ends, segment_excess
 from .prox import NotAdmissible
 from .reference import DomainError
+
+# The most grid points backtrack tries beyond its first, in either direction.
+MAX_GRID_STEPS = 60
+
+# Golden-section search: at most this many shrinks, down to this interval.
+_GOLDEN_MAX_ITERS = 64
+_GOLDEN_INTERVAL = 1e-10
 
 
 class BacktrackFailed(RuntimeError):
@@ -14,31 +20,14 @@ class BacktrackFailed(RuntimeError):
 
 
 @dataclass
-class BacktrackSmooth:
+class Backtrack:
     r: float = 2.0
     t_init: float = 1.0
-    max_halvings: int = 60
-    max_growth: int = 60
-
-
-@dataclass
-class BacktrackUniversal:
-    eps: float
-    r: float = 2.0
-    t_init: float = 1.0
-    max_halvings: int = 60
-    max_growth: int = 60
-
-
-def theta_from_history(t_k, T_prev):
-    """theta_k = t_k / (T_prev + t_k)."""
-    if t_k <= 0:
-        raise ValueError("step size must be positive")
-    return t_k / (T_prev + t_k)
 
 
 def t_from_theta(theta_k, T_prev):
-    """Inverse of theta_from_history: t_k = theta_k * T_prev / (1 - theta_k)."""
+    """t_k = theta_k * T_prev / (1 - theta_k), the inverse of the weight
+    theta_k = t_k / (T_prev + t_k) that engine.propose gives a step."""
     if not 0.0 < theta_k < 1.0:
         raise ValueError("theta must lie strictly inside (0, 1) when T_prev > 0")
     return theta_k * T_prev / (1.0 - theta_k)
@@ -49,34 +38,18 @@ def cg_theta(k, nu):
     return (1.0 + nu) / (k + 1.0 + nu)
 
 
-def step_ratio_bound(k, gamma, L):
-    """Upper bound L * (gamma / (k + gamma))^gamma on theta_k / t_k."""
-    return L * (gamma / (k + gamma)) ** gamma
-
-
-def amgm_check(a, b, alpha, beta, tol=1e-12):
-    """Weighted AM-GM: a^alpha * b^beta <= ((alpha a + beta b)/(alpha+beta))^(alpha+beta)."""
-    if a <= 0 or b <= 0 or alpha < 0 or beta < 0 or alpha + beta <= 0:
-        raise ValueError("need a, b > 0 and alpha, beta >= 0 with alpha + beta > 0")
-    lhs = a ** alpha * b ** beta
-    rhs = ((alpha * a + beta * b) / (alpha + beta)) ** (alpha + beta)
-    return lhs <= rhs * (1.0 + tol)
-
-
 def _condition_holds(trial, eps):
     # t * D(...)/theta <= D_h(s, s_prev) [+ t*eps], with a rounding allowance.
     slack = trial.Dh + trial.t * eps - (trial.t * trial.excess / trial.theta)
     return slack >= -1e-12 * max(1.0, trial.Dh)
 
 
-def backtrack(state, instance, ysel, rule, t_start=None):
+def backtrack(state, instance, ysel, rule, t_start=None, eps=0.0):
     """Find a step on the geometric grid {t_start * r^j} whose descent
-    condition holds while the next grid point's fails.
-
-    Returns (trial, upper_probe_failed).  upper_probe_failed is False only
-    when the growth cap stopped the search.
+    condition, with the slack t * eps (zero for the smooth methods, the
+    accuracy eps of the universal method), holds while the next grid
+    point's fails.  Returns the accepted trial.
     """
-    eps = getattr(rule, "eps", 0.0)
     r = rule.r
     if r <= 1.0:
         raise ValueError("backtracking ratio must exceed 1")
@@ -93,25 +66,23 @@ def backtrack(state, instance, ysel, rule, t_start=None):
 
     trial = attempt(t)
     if trial is not None:
-        for _ in range(rule.max_growth):
+        for _ in range(MAX_GRID_STEPS):
             probe = attempt(t * r)
-            if probe is not None:
-                trial, t = probe, t * r
-            else:
-                return trial, True
-        return trial, False
-    for _ in range(rule.max_halvings):
+            if probe is None:
+                break
+            trial, t = probe, t * r
+        return trial
+    for _ in range(MAX_GRID_STEPS):
         t /= r
         trial = attempt(t)
         if trial is not None:
-            return trial, True
+            return trial
     raise BacktrackFailed(
         "descent condition unsatisfied down to t = %g; the declared "
         "smoothness constants are likely wrong" % t)
 
 
-def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10,
-                  x_side=None, s_side=None):
+def linesearch_cg(instance, x, g, s, cggap, x_side=None, s_side=None):
     """Golden-section minimization of (1-theta)*CGgap + D(x, s, theta) on [0,1].
 
     The segment's theta-independent terms (segment_ends) are computed once;
@@ -130,8 +101,8 @@ def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10,
     a = hi - invphi * (hi - lo)
     b = lo + invphi * (hi - lo)
     fa, fb = phi(a), phi(b)
-    for _ in range(max_iters):
-        if hi - lo < interval_tol:
+    for _ in range(_GOLDEN_MAX_ITERS):
+        if hi - lo < _GOLDEN_INTERVAL:
             break
         if fa <= fb:
             hi, b, fb = b, a, fa
@@ -142,36 +113,3 @@ def linesearch_cg(instance, x, g, s, cggap, max_iters=64, interval_tol=1e-10,
             b = lo + invphi * (hi - lo)
             fb = phi(b)
     return 0.5 * (lo + hi)
-
-
-def maximal_t_sequence(gamma, L, K, tol=1e-14):
-    """Step sequence taking the largest t allowed by theta^(gamma-1) * t = 1/L
-    at every iteration (theta_0 = 1).  Used to probe the theta/t bound."""
-    ts, thetas = [], []
-    T = 0.0
-    for k in range(K):
-        if k == 0:
-            t = 1.0 / L
-            theta = 1.0
-        else:
-            # Solve (t/(T+t))^(gamma-1) * t = 1/L for t by bisection; the
-            # left side is increasing in t.
-            target = 1.0 / L
-            lo, hi = 0.0, max(1.0, 4.0 * ts[-1])
-            f = lambda t: (t / (T + t)) ** (gamma - 1.0) * t
-            while f(hi) < target:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if f(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < tol * max(1.0, hi):
-                    break
-            t = 0.5 * (lo + hi)
-            theta = t / (T + t)
-        ts.append(t)
-        thetas.append(theta)
-        T += t
-    return ts, thetas

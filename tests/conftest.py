@@ -37,6 +37,64 @@ def segment_excess_unhoisted(instance, x, g, s, theta):
     return D_f + psi.value(comb) - (1.0 - theta) * psi.value(x) - theta * psi.value(s)
 
 
+def combination_excess(instance, x, y, g, s, theta):
+    """The four-point excess function behind the gradient-form identity."""
+    A, f, psi = instance.A, instance.f, instance.psi
+    comb = x + theta * (s - x)
+    F = lambda v: f.value(A.apply(v)) + psi.value(v)
+    As, Ay = A.apply(s), A.apply(y)
+    D_fa = f.value(As) - f.value(Ay) - float(g @ (As - Ay))
+    return F(comb) - (1.0 - theta) * F(x) - theta * F(s) + theta * D_fa
+
+
+def optimality_residual(instance, c, t, s_prev, s, g_psi):
+    """Max-norm residual of the prox optimality conditions
+    t*(c + g_psi) + grad h(s) - grad h(s_prev) = 0 (zero reference: 0)."""
+    h = instance.h
+    if h.kind == "zero":
+        return 0.0
+    r = t * (c + g_psi) + h.gradient(s) - h.gradient(s_prev)
+    return float(np.max(np.abs(r), initial=0.0))
+
+
+def step_ratio_bound(k, gamma, L):
+    """Upper bound L * (gamma / (k + gamma))^gamma on theta_k / t_k."""
+    return L * (gamma / (k + gamma)) ** gamma
+
+
+def maximal_t_sequence(gamma, L, K, tol=1e-14):
+    """Step sequence taking the largest t allowed by theta^(gamma-1) * t = 1/L
+    at every iteration (theta_0 = 1).  Used to probe the theta/t bound."""
+    ts, thetas = [], []
+    T = 0.0
+    for k in range(K):
+        if k == 0:
+            t = 1.0 / L
+            theta = 1.0
+        else:
+            # Solve (t/(T+t))^(gamma-1) * t = 1/L for t by bisection; the
+            # left side is increasing in t.
+            target = 1.0 / L
+            lo, hi = 0.0, max(1.0, 4.0 * ts[-1])
+            f = lambda t: (t / (T + t)) ** (gamma - 1.0) * t
+            while f(hi) < target:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < tol * max(1.0, hi):
+                    break
+            t = 0.5 * (lo + hi)
+            theta = t / (T + t)
+        ts.append(t)
+        thetas.append(theta)
+        T += t
+    return ts, thetas
+
+
 # The module-function forms (np.any, np.sum, np.max, np.clip, ...) that the
 # per-trial oracles, kernels, Bregman distances and prox solvers had before
 # they called the ndarray methods.  The rewritten forms must return exactly

@@ -21,15 +21,11 @@ from fomcert.methods import (
     run,
 )
 from fomcert.problems import SplitMix64, make_instance, reference_optimum
-from fomcert.prox import prox_step, optimality_residual
+from fomcert.prox import prox_step
 from fomcert.reference import DomainError
-from fomcert.steprules import (
-    BacktrackSmooth,
-    BacktrackUniversal,
-    backtrack,
-    step_ratio_bound,
-    maximal_t_sequence,
-)
+from fomcert.steprules import Backtrack, backtrack
+
+from conftest import maximal_t_sequence, optimality_residual, step_ratio_bound
 
 
 def _report(num, ok, detail):
@@ -136,7 +132,7 @@ def test_criterion_03_weak_duality(registry_runs, lasso_runs_2k, l1reg_10k,
             if not bad else "; ".join(bad[:3]))
 
 
-def _corollary_margin(name, ysel, rule, iterations, reference_points):
+def _corollary_margin(name, ysel, eps, iterations, reference_points):
     """Worst margin of primal(x_k) - primal(x_ref) vs (D_h + sum eps)/T."""
     inst = make_instance(name, seed=0)
     refs = []
@@ -147,13 +143,15 @@ def _corollary_margin(name, ysel, rule, iterations, reference_points):
     state = init(inst)
     worst = -np.inf
     prev_t = None
+    eps_sum = 0.0  # sum max(0, t D/theta - D_h)
     for _ in range(iterations):
-        trial, _ = backtrack(state, inst, ysel, rule, t_start=prev_t)
+        trial = backtrack(state, inst, ysel, Backtrack(), t_start=prev_t,
+                          eps=eps)
         engine.commit(state, inst, trial)
         prev_t = trial.t
+        eps_sum += max(0.0, trial.sgrad_term)
         primal = inst.f.value(state.Ax) + inst.psi.value(state.x)
         T = state.T.total
-        eps_sum = state.Seps.total
         for ref_value, Dh0 in refs:
             worst = max(worst, primal - ref_value - (Dh0 + eps_sum) / T)
     return worst
@@ -167,20 +165,20 @@ def test_criterion_04_averaged_descent_bound(lasso_reference):
         return [inst.sampler(r) for _ in range(count)]
 
     cases = [
-        ("lasso", PROX_POINT, BacktrackSmooth(),
+        ("lasso", PROX_POINT, 0.0,
          lambda inst: [lasso_point] + sampled(inst)),
-        ("lasso", FAST_COMBO, BacktrackSmooth(),
+        ("lasso", FAST_COMBO, 0.0,
          lambda inst: [lasso_point] + sampled(inst)),
-        ("simplex-quadratic", PROX_POINT, BacktrackSmooth(),
+        ("simplex-quadratic", PROX_POINT, 0.0,
          lambda inst: sampled(inst)),
-        ("poisson-burg", PROX_POINT, BacktrackSmooth(),
+        ("poisson-burg", PROX_POINT, 0.0,
          lambda inst: sampled(inst)),
-        ("holder", FAST_COMBO, BacktrackUniversal(eps=1e-3),
+        ("holder", FAST_COMBO, 1e-3,
          lambda inst: [inst.known_optimum[1]] + sampled(inst)),
     ]
     worst = -np.inf
-    for name, ysel, rule, refs in cases:
-        worst = max(worst, _corollary_margin(name, ysel, rule, 400, refs))
+    for name, ysel, eps, refs in cases:
+        worst = max(worst, _corollary_margin(name, ysel, eps, 400, refs))
     _report(4, worst <= 1e-8,
             "suboptimality minus (D_h + sum eps)/T at most %.2e "
             "over all reference points and iterations" % worst)

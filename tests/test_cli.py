@@ -278,6 +278,32 @@ def test_run_bad_reference_bracket_exits_2(tmp_path, capsys, monkeypatch):
     assert "non-finite primal" in err[0]
 
 
+@pytest.mark.parametrize("instance,method,extra,first", [
+    # The fast-gradient bound's gamma^gamma overflows a float.
+    ({"name": "lasso", "seed": 0}, {"name": "fast_gradient", "gamma": 400},
+     {"reference": True, "reference_budget": 50}, "violation: non-finite bound"),
+    # M^(2/(1+nu)) / eps^((1-nu)/(1+nu)) overflows a float.
+    ({"name": "holder", "seed": 0, "constants": {"M": 1e300}},
+     {"name": "universal_gradient", "eps": 1e-300}, {},
+     "violation: non-finite bound"),
+    # Every trial step is so large that the projection's input is not finite.
+    ({"name": "simplex-quadratic", "seed": 0,
+      "params": {"reference": "euclidean"}},
+     {"name": "fast_gradient", "t_init": 1e300}, {"reference": False},
+     "run aborted: "),
+], ids=["bound-gamma-overflow", "bound-eps-overflow", "nonfinite-projection"])
+def test_run_numerical_fault_exits_2(tmp_path, capsys, instance, method, extra,
+                                     first):
+    cfgpath = _write_config(tmp_path / "cfg.json", instance=instance,
+                            method=method, iterations=20, **extra)
+    assert cli.main(["run", "--config", str(cfgpath),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith(first) for line in err), err
+    with open(tmp_path / "out" / "summary.json") as fh:
+        assert json.load(fh)["violations"]
+
+
 def _lasso_L():
     from fomcert.problems import make_instance
     return make_instance("lasso", seed=0).constants["L"]

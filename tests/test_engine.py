@@ -9,18 +9,21 @@ from fomcert.engine import (
     FAST_COMBO,
     PROX_POINT,
     InfeasibleStart,
-    averages_from_history,
     certificate,
     d_conjugate,
     init,
-    iterate,
-    combination_excess,
     segment_ends,
     segment_excess,
 )
 from fomcert.problems import REGISTRY_NAMES, SplitMix64, make_instance
 
-from conftest import quadratic_1d, segment_excess_unhoisted
+from conftest import combination_excess, quadratic_1d, segment_excess_unhoisted
+
+
+def iterate(state, instance, ysel, t):
+    """One full iteration at a caller-chosen step size."""
+    return engine.commit(state, instance,
+                         engine.propose(state, instance, ysel, t))
 
 
 def test_one_exact_gradient_step_solves_quadratic(quad1d):
@@ -32,21 +35,25 @@ def test_one_exact_gradient_step_solves_quadratic(quad1d):
 
 def test_theta_recurrence_and_averages():
     inst = make_instance("lasso", seed=0)
-    state = init(inst, record_history=True)
-    thetas, ts = [], []
+    state = init(inst)
+    thetas, ts, history = [], [], []
     for k in range(30):
         t = 0.1 + 0.01 * k
         trial = engine.propose(state, inst, PROX_POINT, t)
         thetas.append(trial.theta)
         ts.append(t)
+        history.append((t, trial.y.copy(), trial.s.copy(), trial.g.copy()))
         engine.commit(state, inst, trial)
     # theta_{k+1}/t_{k+1} = (1 - theta_{k+1}) theta_k / t_k.
     for k in range(1, 30):
         lhs = thetas[k] / ts[k]
         rhs = (1.0 - thetas[k]) * thetas[k - 1] / ts[k - 1]
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
-    # Incremental averages match direct recomputation from history.
-    x, z, u = averages_from_history(state)
+    # Incremental averages match direct recomputation from the trials.
+    T = sum(t for t, _, _, _ in history)
+    x = sum(t * s for t, _, s, _ in history) / T
+    z = sum(t * y for t, y, _, _ in history) / T
+    u = sum(t * g for t, _, _, g in history) / T
     assert np.max(np.abs(x - state.x)) <= 1e-12
     assert np.max(np.abs(z - state.z)) <= 1e-12
     assert np.max(np.abs(u - state.U / state.T.total)) <= 1e-12

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 import fomcert
 from fomcert import _kernels
+from fomcert.reference import DomainError
 
 
 def test_implementation_tag():
@@ -36,6 +38,15 @@ def test_project_simplex_is_projection():
         for _ in range(5):
             q = rng.dirichlet(np.ones(8))
             assert float((v - p) @ (q - p)) <= 1e-10
+
+
+def test_project_simplex_rejects_inf_and_nan():
+    for v in ([np.inf, 0.0], [np.nan, 0.0], [2.0, np.inf, 1.0]):
+        with pytest.raises(DomainError):
+            _kernels.project_simplex(np.array(v))
+    # A -inf coordinate projects to 0, so that point has a finite projection.
+    assert np.array_equal(_kernels.project_simplex(np.array([-np.inf, 0.3])),
+                          [0.0, 1.0])
 
 
 def test_entropy_prox_simplex_example():

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from fomcert.linalg import DimensionMismatch, LinearMap, as_vector
-
-
-def test_as_vector_coerces_and_checks():
-    v = as_vector([1, 2, 3])
-    assert v.dtype == np.float64 and v.shape == (3,)
-    with pytest.raises(ValueError):
-        as_vector([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        as_vector([1.0, float("nan")])
+from fomcert.linalg import DimensionMismatch, LinearMap
 
 
 def test_identity_map_copies():
@@ -60,9 +51,3 @@ def test_constructor_validation():
         LinearMap.dense(np.ones(3))
     with pytest.raises(ValueError):
         LinearMap.dense(np.array([[np.inf, 0.0]]))
-
-
-def test_call_is_apply():
-    A = LinearMap.identity(2)
-    x = np.array([1.0, 2.0])
-    assert np.array_equal(A(x), A.apply(x))

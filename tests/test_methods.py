@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fomcert import engine
+from fomcert import engine, methods
 from fomcert.engine import Certificate
 from fomcert.methods import (
+    METHODS,
     ConditionalSubgradient,
     FastGradient,
     IncompatibleConfig,
@@ -20,9 +21,10 @@ from fomcert.methods import (
     rate_bound,
     reference_run,
     run,
-    subgradient_rhs_check,
 )
+from fomcert.oracles import L1Norm
 from fomcert.problems import REGISTRY_NAMES, make_instance
+from fomcert.prox import UnsupportedPair, prox_step
 from fomcert.trace import Trace
 
 from conftest import quadratic_1d
@@ -41,6 +43,19 @@ def test_compatibility_rules():
     ProxGradient(iterations=10).check_compatible(lasso)
     ConditionalSubgradient(iterations=10).check_compatible(ball)
     ProxSubgradient(iterations=10).check_compatible(l1reg)
+
+
+def test_zero_reference_without_linmin_is_incompatible():
+    # An l1 norm has no linmin oracle, so the zero reference cannot take
+    # a step on it, though the instance declares the bound's M and nu.
+    inst = dataclasses.replace(make_instance("cg-ball", seed=0),
+                               psi=L1Norm(0.1))
+    with pytest.raises(IncompatibleConfig, match="linmin"):
+        ConditionalSubgradient(iterations=5).check_compatible(inst)
+    with pytest.raises(IncompatibleConfig, match="linmin"):
+        run(inst, ConditionalSubgradient(iterations=5))
+    with pytest.raises(UnsupportedPair):
+        prox_step(inst, np.ones(inst.A.in_dim), 1.0, inst.feasible_start)
 
 
 def test_compatible_configs_cover_registry():
@@ -81,20 +96,27 @@ def test_rate_bound_formulas(quad1d):
     assert rate_bound(pg, quad1d, 10) is None
 
 
+def subgradient_rhs(trace, M):
+    """Right-hand side M * (sum t_i^2 / 2) / T of the subgradient rate, from
+    the steps on the trace."""
+    ts = [r.t for r in trace.rows]
+    return M * (sum(t * t for t in ts) / 2.0) / sum(ts)
+
+
 def test_subgradient_rhs_value():
     # One step with t = 1 and M = 1: M (t^2/2)/T = 0.5.
     inst = make_instance("l1-regression", seed=0)
-    inst.constants["M"] = 1.0
     trace = run(inst, ProxSubgradient(iterations=1, C=1.0), check=False)
-    state = trace.state
-    assert abs(subgradient_rhs_check(state, inst) - 0.5) <= 1e-12
+    assert abs(trace.state.T.total - 1.0) <= 1e-15
+    assert abs(subgradient_rhs(trace, 1.0) - 0.5) <= 1e-12
 
 
 def test_subgradient_delta_below_rhs():
     inst = make_instance("l1-regression", seed=0)
     trace = run(inst, ProxSubgradient(iterations=200, C=1.0))
-    state = trace.state
-    assert trace.final.delta <= subgradient_rhs_check(state, inst) + 1e-8
+    assert abs(sum(r.t for r in trace.rows) - trace.state.T.total) <= 1e-12
+    rhs = subgradient_rhs(trace, inst.constants["M"])
+    assert trace.final.delta <= rhs + 1e-8
     assert not trace.violations
 
 
@@ -142,9 +164,24 @@ def test_short_runs_produce_no_violations():
             assert all(c is None for c in cggaps)
 
 
-def test_universal_eps_propagates_to_rule():
-    cfg = UniversalGradient(iterations=10, eps=5e-2)
-    assert cfg.rule.eps == 5e-2
+@pytest.mark.parametrize("name,spec,eps", [
+    ("holder", {"name": "universal_gradient", "eps": 5e-2}, 5e-2),
+    ("holder", {"name": "universal_gradient"}, 1e-3),
+    ("lasso", {"name": "prox_gradient"}, 0.0),
+    ("lasso", {"name": "fast_gradient"}, 0.0),
+])
+def test_config_eps_reaches_backtrack(monkeypatch, name, spec, eps):
+    seen = []
+    real = methods.backtrack
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["eps"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(methods, "backtrack", spy)
+    config = METHODS[spec["name"]].from_spec(spec, 5)
+    run(make_instance(name, seed=0), config, check=False)
+    assert seen == [eps] * 5
 
 
 def test_trace_wall_time_recorded():
@@ -168,16 +205,15 @@ def test_nan_certificate_is_a_violation(monkeypatch):
 
 
 _FINITE_CERT = dict(primal=1.0, dual_surrogate=0.9, gap=0.1, delta=0.2,
-                    thm1_residual=0.0, thm2_residual=0.0, bound=0.5,
-                    weak_gap=0.05)
+                    thm1_residual=0.0, thm2_residual=0.0, weak_gap=0.05)
 
 
-def _violations(**fields):
+def _violations(bound=0.5, **fields):
     cert = Certificate(**dict(_FINITE_CERT, **fields))
     trace = Trace("lasso", "prox_gradient")
     _check_row(trace, SimpleNamespace(zero_reference=False),
                ProxGradient(iterations=10), cert,
-               SimpleNamespace(k=3, cggap=None), cert.bound, ref_value=0.9,
+               SimpleNamespace(k=3, cggap=None), bound, ref_value=0.9,
                tol=1e-8)
     return trace.violations
 

@@ -21,7 +21,7 @@ from fomcert.problems import (
     verify_constants,
 )
 from fomcert.reference import Entropy, SquaredEuclidean, ZeroReference
-from fomcert.steprules import BacktrackSmooth
+from fomcert.steprules import Backtrack
 
 ALL_NAMES = list(REGISTRY_NAMES)
 
@@ -163,7 +163,7 @@ def test_lasso_analytic_example():
         feasible_start=np.zeros(2), constants={"L": 1.0},
         name="lasso-tiny", condition="smooth.1")
     trace = run(inst, ProxGradient(iterations=200,
-                                   rule=BacktrackSmooth(r=2.0, t_init=1.0)))
+                                   rule=Backtrack(r=2.0, t_init=1.0)))
     assert not trace.violations
     assert abs(trace.final.primal - 0.375) <= 1e-8
     assert np.max(np.abs(trace.state.x - np.array([0.5, 0.0]))) <= 1e-4
@@ -183,7 +183,7 @@ def test_simplex_quadratic_analytic_example():
         feasible_start=np.array([0.3, 0.7]), constants={"L": 2.0},
         name="simplex-tiny", condition="smooth.1")
     trace = run(inst, ProxGradient(iterations=300,
-                                   rule=BacktrackSmooth(r=2.0, t_init=1.0)))
+                                   rule=Backtrack(r=2.0, t_init=1.0)))
     assert not trace.violations
     assert abs(trace.final.primal - 0.5) <= 1e-8
     assert np.max(np.abs(trace.state.x - 0.5)) <= 1e-4

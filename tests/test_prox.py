@@ -14,10 +14,11 @@ from fomcert.oracles import (
 from fomcert.prox import (
     NotAdmissible,
     UnsupportedPair,
-    optimality_residual,
     prox_step,
 )
 from fomcert.reference import Burg, DomainError, Entropy, SquaredEuclidean, ZeroReference
+
+from conftest import optimality_residual
 
 _DUMMY_F = SmoothOracle(value=lambda y: 0.0,
                         subgradient=lambda y: np.zeros_like(y),

@@ -6,36 +6,46 @@ from fomcert.engine import PROX_POINT, init, propose
 from fomcert.methods import ConditionalSubgradient
 from fomcert.problems import SplitMix64, make_instance
 from fomcert.steprules import (
+    MAX_GRID_STEPS,
+    Backtrack,
     BacktrackFailed,
-    BacktrackSmooth,
-    BacktrackUniversal,
     _condition_holds,
-    amgm_check,
     backtrack,
     cg_theta,
-    step_ratio_bound,
     linesearch_cg,
-    maximal_t_sequence,
     t_from_theta,
-    theta_from_history,
 )
 
-from conftest import quadratic_1d, segment_excess_unhoisted
+from conftest import (
+    maximal_t_sequence,
+    quadratic_1d,
+    segment_excess_unhoisted,
+    step_ratio_bound,
+)
+
+
+def proposed_theta(t, T_prev):
+    """The theta that engine.propose gives the step t after steps summing
+    to T_prev."""
+    inst = quadratic_1d()
+    state = init(inst)
+    state.T.add(T_prev)
+    return propose(state, inst, PROX_POINT, t).theta
 
 
 def test_theta_t_correspondence():
-    assert theta_from_history(1.0, 0.0) == 1.0
-    assert theta_from_history(1.0, 1.0) == 0.5
+    assert proposed_theta(1.0, 0.0) == 1.0
+    assert proposed_theta(1.0, 1.0) == 0.5
     assert abs(t_from_theta(0.5, 1.0) - 1.0) <= 1e-15
     assert abs(t_from_theta(2.0 / 3.0, 1.0) - 2.0) <= 1e-15
     rng = np.random.default_rng(0)
     for _ in range(100):
         theta = float(rng.uniform(0.01, 0.99))
         T = float(rng.uniform(0.1, 10.0))
-        assert abs(theta_from_history(t_from_theta(theta, T), T)
+        assert abs(proposed_theta(t_from_theta(theta, T), T)
                    - theta) <= 1e-14
     with pytest.raises(ValueError):
-        theta_from_history(0.0, 1.0)
+        proposed_theta(0.0, 1.0)
     with pytest.raises(ValueError):
         t_from_theta(1.0, 1.0)
     with pytest.raises(ValueError):
@@ -44,8 +54,8 @@ def test_theta_t_correspondence():
 
 def test_theta_recurrence_for_unit_steps():
     # t = (1,1,1): theta_2/t_2 = (1 - theta_2) theta_1/t_1, i.e. 1/3 = (2/3)(1/2).
-    t1 = theta_from_history(1.0, 1.0)
-    t2 = theta_from_history(1.0, 2.0)
+    t1 = proposed_theta(1.0, 1.0)
+    t2 = proposed_theta(1.0, 2.0)
     assert abs(t2 / 1.0 - (1.0 - t2) * t1 / 1.0) <= 1e-15
 
 
@@ -60,71 +70,53 @@ def test_step_ratio_bound_examples():
     assert abs(step_ratio_bound(2, 2.0, 1.0) - 0.25) <= 1e-15
 
 
-def test_amgm_examples():
-    assert amgm_check(1.0, 1.0, 0.3, 0.7)
-    # a=1, b=2+nu with nu=1, alpha=1, beta=1: 3 <= (5/2)^2 = 6.25.
-    assert amgm_check(1.0, 3.0, 1.0, 1.0)
-    assert amgm_check(4.0, 1.0, 1.0, 1.0)
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a, b = rng.uniform(0.1, 5.0, 2)
-        alpha, beta = rng.uniform(0.0, 3.0, 2)
-        if alpha + beta == 0.0:
-            continue
-        assert amgm_check(a, b, alpha, beta)
-    with pytest.raises(ValueError):
-        amgm_check(-1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        amgm_check(1.0, 1.0, 0.0, 0.0)
-
-
 def test_backtrack_halves_to_inverse_curvature(quad1d):
     # Condition holds iff t <= 1/L = 1; from t_init=4, r=2 the grid accepts 1.
     state = init(quad1d)
-    rule = BacktrackSmooth(r=2.0, t_init=4.0)
-    trial, probe_failed = backtrack(state, quad1d, PROX_POINT, rule)
+    trial = backtrack(state, quad1d, PROX_POINT, Backtrack(r=2.0, t_init=4.0))
     assert abs(trial.t - 1.0) <= 1e-15
-    assert probe_failed
+    assert not _condition_holds(propose(state, quad1d, PROX_POINT, 2.0), 0.0)
 
 
 def test_backtrack_grows_to_inverse_curvature(quad1d):
     state = init(quad1d)
-    rule = BacktrackSmooth(r=2.0, t_init=0.25)
-    trial, probe_failed = backtrack(state, quad1d, PROX_POINT, rule)
+    trial = backtrack(state, quad1d, PROX_POINT, Backtrack(r=2.0, t_init=0.25))
     assert abs(trial.t - 1.0) <= 1e-15
-    assert probe_failed
+    assert not _condition_holds(propose(state, quad1d, PROX_POINT, 2.0), 0.0)
 
 
 def test_backtrack_r_large_pair_property():
     # Accepted t passes its condition while t*r fails, re-evaluated explicitly.
     inst = make_instance("lasso", seed=0)
     state = init(inst)
-    rule = BacktrackSmooth(r=2.0, t_init=1.0)
+    rule = Backtrack(r=2.0, t_init=1.0)
     prev_t = None
     for _ in range(10):
-        trial, probe_failed = backtrack(state, inst, PROX_POINT, rule,
-                                        t_start=prev_t)
+        trial = backtrack(state, inst, PROX_POINT, rule, t_start=prev_t)
         assert _condition_holds(propose(state, inst, PROX_POINT, trial.t), 0.0)
-        if probe_failed:
-            rejected = propose(state, inst, PROX_POINT, trial.t * rule.r)
-            assert not _condition_holds(rejected, 0.0)
+        rejected = propose(state, inst, PROX_POINT, trial.t * rule.r)
+        assert not _condition_holds(rejected, 0.0)
         engine.commit(state, inst, trial)
         prev_t = trial.t
 
 
 def test_universal_large_eps_accepts_without_halving(quad1d):
     state = init(quad1d)
-    rule = BacktrackUniversal(eps=100.0, r=2.0, t_init=4.0)
-    trial, _ = backtrack(state, quad1d, PROX_POINT, rule)
+    trial = backtrack(state, quad1d, PROX_POINT, Backtrack(r=2.0, t_init=4.0),
+                      eps=100.0)
     assert trial.t >= 4.0  # first candidate passed; only growth from there
 
 
 def test_backtrack_failure_diagnostic():
-    inst = quadratic_1d(curvature=1e12)
-    state = init(inst)
-    rule = BacktrackSmooth(r=2.0, t_init=1.0, max_halvings=5)
+    # The grid reaches down to t = 2^-MAX_GRID_STEPS = 1/L at L = 2^60, and
+    # no further.
+    rule = Backtrack(r=2.0, t_init=1.0)
+    inst = quadratic_1d(curvature=2.0 ** MAX_GRID_STEPS)
+    trial = backtrack(init(inst), inst, PROX_POINT, rule)
+    assert trial.t == 2.0 ** -MAX_GRID_STEPS
+    inst = quadratic_1d(curvature=1e30)
     with pytest.raises(BacktrackFailed):
-        backtrack(state, inst, PROX_POINT, rule)
+        backtrack(init(inst), inst, PROX_POINT, rule)
 
 
 def test_backtrack_survives_domain_failures_on_probes():
@@ -132,15 +124,14 @@ def test_backtrack_survives_domain_failures_on_probes():
     # a failed condition instead of aborting the run.
     inst = make_instance("simplex-quadratic", seed=0)
     state = init(inst)
-    rule = BacktrackSmooth(r=2.0, t_init=1e6)
-    trial, _ = backtrack(state, inst, PROX_POINT, rule)
+    trial = backtrack(state, inst, PROX_POINT, Backtrack(r=2.0, t_init=1e6))
     assert np.all(trial.s > 0.0)
     assert _condition_holds(trial, 0.0)
 
 
 def test_backtrack_rejects_bad_ratio(quad1d):
     with pytest.raises(ValueError):
-        backtrack(init(quad1d), quad1d, PROX_POINT, BacktrackSmooth(r=1.0))
+        backtrack(init(quad1d), quad1d, PROX_POINT, Backtrack(r=1.0))
 
 
 def test_linesearch_quadratic_example():
@@ -168,8 +159,8 @@ def test_linesearch_flat_objective_deterministic(quad1d):
 
 
 def _golden_section_unhoisted(instance, x, g, s, cggap):
-    """The line search, at its default max_iters and interval_tol, as an
-    inline loop over the unhoisted excess."""
+    """The line search, with its cap of 64 shrinks and its interval of
+    1e-10, as an inline loop over the unhoisted excess."""
     phi = lambda th: (1.0 - th) * cggap + segment_excess_unhoisted(
         instance, x, g, s, th)
     invphi = (5 ** 0.5 - 1) / 2
@@ -269,10 +260,11 @@ def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch):
         return linmin(c)
 
     monkeypatch.setattr(inst.psi, "linmin", counting_linmin)
+    prev_t = None
     for k in range(1, config.iterations):
         for key in calls:
             calls[key] = 0
-        config.step(state, inst, k, state.last_t)
+        _, prev_t = config.step(state, inst, k, prev_t)
         evals = calls["evals"]
         assert evals > 2
         assert calls["linmin"] == 1
