@@ -1,7 +1,7 @@
 """First-order convex optimization with certified perturbed-duality gaps."""
 
 from ._kernels import IMPLEMENTATION as kernel_implementation
-from .engine import certificate, init, segment_excess
+from .engine import certificate, segment_excess
 from .linalg import LinearMap
 from .methods import (
     ConditionalSubgradient,
@@ -18,7 +18,7 @@ from .prox import prox_step
 __all__ = [
     "ConditionalSubgradient", "FastGradient", "LinearMap", "ProblemInstance",
     "ProxGradient", "ProxSubgradient", "SmoothOracle", "UniversalGradient",
-    "certificate", "init", "kernel_implementation", "make_instance",
+    "certificate", "kernel_implementation", "make_instance",
     "prox_step", "reference_optimum", "run", "segment_excess",
     "verify_constants",
 ]

@@ -18,18 +18,6 @@ EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
 
 
-def _default_tol():
-    env = os.environ.get("FOM_TOL")
-    if not env:
-        return methods.DEFAULT_TOL
-    try:
-        tol = float(env)
-    except ValueError:
-        raise ConfigError("FOM_TOL must be a number, got %r" % env)
-    check_number(tol, "FOM_TOL", 0.0)
-    return tol
-
-
 def config_from_dict(spec, iterations):
     """The method config a JSON method spec describes."""
     method = methods.METHODS.get(spec.get("name"))
@@ -81,7 +69,7 @@ def cmd_run(args):
             _checked_constants(instance, inst_spec.get("constants", {})))
         config = config_from_dict(cfg["method"], cfg["iterations"])
         config.check_compatible(instance)
-        tol = cfg.get("tolerance", _default_tol())
+        tol = cfg.get("tolerance", methods.DEFAULT_TOL)
         check_number(tol, "tolerance", 0.0)
     except (ConfigError, KeyError, TypeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -96,10 +96,6 @@ class EngineState:
         self.y_side = {}
 
 
-def init(instance):
-    return EngineState(instance)
-
-
 class TrialStep:
     """A fully solved candidate iteration, not yet committed to the state."""
 

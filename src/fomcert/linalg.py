@@ -37,16 +37,6 @@ class LinearMap:
     def dense(cls, matrix):
         return cls(matrix=matrix)
 
-    @property
-    def is_identity(self):
-        return self._matrix is None
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            return np.eye(self.in_dim)
-        return self._matrix
-
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.in_dim,):

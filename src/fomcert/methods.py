@@ -1,16 +1,15 @@
-"""The named algorithms as preset configurations of the engine and the step
-rules, each attaching its convergence bound to the trace."""
+"""The named algorithms, each one dataclass over the engine and the step
+rules that attaches its convergence bound to the trace."""
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from . import engine
 from .engine import CURRENT_AVERAGE, FAST_COMBO, PROX_POINT
 from .oracles import ProblemInstance
 from .reference import SquaredEuclidean
-from .steprules import (Backtrack, backtrack, cg_theta, linesearch_cg,
-                        t_from_theta)
+from .steprules import backtrack, cg_theta, linesearch_cg, t_from_theta
 from .trace import Trace, TraceRow
 
 DEFAULT_TOL = 1e-8
@@ -51,75 +50,75 @@ def check_positive_int(value, what):
                           % (what, value))
 
 
-# The range of each numeric JSON method key: (lower limit, strict).
+# The range of each numeric method field: (lower limit, strict).
 _KEY_LIMITS = {"r": (1.0, True), "gamma": (1.0, False), "t_init": (0.0, True),
                "C": (0.0, True), "eps": (0.0, True), "nu": (0.0, True)}
-
-
-def _read_spec(spec, name, **defaults):
-    """The values of a JSON method spec over the method's defaults."""
-    values = dict(defaults)
-    for key, value in spec.items():
-        if key == "name":
-            continue
-        if key not in defaults:
-            raise ConfigError("%s is not a %s key (it reads %s)"
-                              % (key, name, ", ".join(sorted(defaults))))
-        if key in _KEY_LIMITS:
-            check_number(value, key, *_KEY_LIMITS[key])
-        values[key] = value
-    return values
 
 
 class _Method:
     """One step rule and one rate bound on the shared engine.
 
-    Each method also has the classmethod from_spec(spec, iterations): the
-    config a JSON method spec describes.  It raises ConfigError for a key
-    the method does not read or a value out of range.
+    A method is a dataclass whose fields after iterations are the keys of
+    its JSON spec (from_spec), range-checked by __post_init__.  It runs only
+    on an instance that check_compatible accepts, and bound(con, k, Dh0) is
+    its rate at iteration k given the declared constants and D_h(x*, x_0).
     """
 
     reported = "x"  # the certificate mode
     bound_kind = "suboptimality"
     zero_reference = False
-    needs_gradient = True
     eps = 0.0  # the backtracked descent condition's slack per unit step
 
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name == "schedule":
+                if value not in ("theta", "linesearch"):
+                    raise ConfigError("schedule must be 'theta' or "
+                                      "'linesearch', got %r" % (value,))
+            elif not (f.name == "nu" and value is None):
+                check_number(value, f.name, *_KEY_LIMITS[f.name])
+
     @classmethod
-    def presets(cls, instance, iterations):
-        """The configs compatible_configs offers on the instance."""
-        return [cls(iterations)] if instance.condition == cls.condition else []
+    def from_spec(cls, spec, iterations):
+        """The config a JSON method spec describes; ConfigError for a key
+        the method does not read or a value out of range."""
+        keys = [f.name for f in fields(cls)[1:]]
+        opts = {key: value for key, value in spec.items() if key != "name"}
+        for key in opts:
+            if key not in keys:
+                raise ConfigError("%s is not a %s key (it reads %s)"
+                                  % (key, cls.name, ", ".join(sorted(keys))))
+        return cls(iterations, **opts)
 
     def check_compatible(self, instance):
-        """Raise IncompatibleConfig unless the method can run on the
-        instance and the instance declares every constant the bound reads."""
+        """Raise IncompatibleConfig unless the method's bound is proved on
+        the instance: a zero h exactly for the zero-reference methods, every
+        constant the bound reads declared, and the method's condition class.
+        compatible_configs offers the methods that pass this check."""
         if instance.zero_reference != self.zero_reference:
             raise IncompatibleConfig("%s needs a %s reference function" % (
                 self.name, "zero" if self.zero_reference else "nonzero"))
-        if self.needs_gradient and not instance.f.differentiable:
-            raise IncompatibleConfig("%s needs a differentiable smooth part"
-                                     % self.name)
         missing = [c for c in self.needs if c not in instance.constants]
         if missing:
             raise IncompatibleConfig("the %s bound reads %s, which %s does not "
                                      "declare" % (self.name, ", ".join(missing),
                                                   instance.name))
+        if instance.condition != self.condition:
+            raise IncompatibleConfig(
+                "the %s bound is proved for condition class %s, and %s "
+                "declares %r" % (self.name, self.condition, instance.name,
+                                 instance.condition))
 
     def step(self, state, instance, k, prev_t):
         """Commit iteration k under the step rule, given the step prev_t
         accepted at k - 1 (None at k = 0); returns (trial, t)."""
         # Backtracked rules, warm-started from the previously accepted step.
-        trial = backtrack(state, instance, self.ysel, self.rule,
-                          t_start=prev_t, eps=self.eps)
+        trial = backtrack(state, instance, self.ysel, self.r,
+                          self.t_init if prev_t is None else prev_t,
+                          eps=self.eps)
         engine.commit(state, instance, trial)
         return trial, trial.t
-
-    def bound(self, instance, k, aux=None):
-        """The method's convergence bound at iteration k, given aux =
-        {"Dh0": D_h(x*, x_0)}; None without it."""
-        if aux is None or "Dh0" not in aux:
-            return None
-        return self._bound(instance.constants, k, aux["Dh0"])
 
 
 @dataclass
@@ -135,20 +134,6 @@ class ConditionalSubgradient(_Method):
     bound_kind = "gap"  # on the certified gap, with no reference optimum
     theory_exponent = -1.0
     zero_reference = True
-    needs_gradient = False
-
-    @classmethod
-    def from_spec(cls, spec, iterations):
-        opts = _read_spec(spec, cls.name, nu=None, schedule="theta")
-        if opts["schedule"] not in ("theta", "linesearch"):
-            raise ConfigError("schedule must be 'theta' or 'linesearch', got %r"
-                              % (opts["schedule"],))
-        return cls(iterations, **opts)
-
-    @classmethod
-    def presets(cls, instance, iterations):
-        return [c for theta in super().presets(instance, iterations)
-                for c in (theta, cls(iterations, schedule="linesearch"))]
 
     def check_compatible(self, instance):
         super().check_compatible(instance)
@@ -185,8 +170,7 @@ class ConditionalSubgradient(_Method):
         engine.commit(state, instance, trial)
         return trial, t
 
-    def bound(self, instance, k, aux=None):
-        con = instance.constants
+    def bound(self, con, k, Dh0):
         nu = con["nu"]
         return con["M"] * ((1.0 + nu) / (k + 1.0 + nu)) ** nu
 
@@ -194,7 +178,8 @@ class ConditionalSubgradient(_Method):
 @dataclass
 class ProxGradient(_Method):
     iterations: int
-    rule: Backtrack = field(default_factory=Backtrack)
+    r: float = 2.0
+    t_init: float = 1.0
 
     name = "prox_gradient"
     ysel = PROX_POINT
@@ -202,13 +187,8 @@ class ProxGradient(_Method):
     needs = ("L",)
     theory_exponent = -1.0
 
-    @classmethod
-    def from_spec(cls, spec, iterations):
-        opts = _read_spec(spec, cls.name, r=2.0, t_init=1.0)
-        return cls(iterations, rule=Backtrack(**opts))
-
-    def _bound(self, con, k, Dh0):
-        return self.rule.r * con["L"] * Dh0 / k
+    def bound(self, con, k, Dh0):
+        return self.r * con["L"] * Dh0 / k
 
 
 @dataclass
@@ -222,11 +202,6 @@ class ProxSubgradient(_Method):
     condition = "relcont"
     needs = ("M",)
     theory_exponent = -0.5
-    needs_gradient = False
-
-    @classmethod
-    def from_spec(cls, spec, iterations):
-        return cls(iterations, **_read_spec(spec, cls.name, C=1.0))
 
     def step(self, state, instance, k, prev_t):
         t = self.C / self.iterations ** 0.5
@@ -234,7 +209,7 @@ class ProxSubgradient(_Method):
         engine.commit(state, instance, trial)
         return trial, t
 
-    def _bound(self, con, k, Dh0):
+    def bound(self, con, k, Dh0):
         K = self.iterations
         rootK = K ** 0.5
         return Dh0 * rootK / (self.C * k) + self.C * con["M"] / (2.0 * rootK)
@@ -244,7 +219,8 @@ class ProxSubgradient(_Method):
 class FastGradient(_Method):
     iterations: int
     gamma: float = 2.0
-    rule: Backtrack = field(default_factory=Backtrack)
+    r: float = 2.0
+    t_init: float = 1.0
 
     name = "fast_gradient"
     ysel = FAST_COMBO
@@ -252,22 +228,19 @@ class FastGradient(_Method):
     needs = ("L",)
     theory_exponent = -2.0
 
-    @classmethod
-    def from_spec(cls, spec, iterations):
-        opts = _read_spec(spec, cls.name, gamma=2.0, r=2.0, t_init=1.0)
-        gamma = opts.pop("gamma")
-        return cls(iterations, gamma=gamma, rule=Backtrack(**opts))
-
-    @classmethod
-    def presets(cls, instance, iterations):
-        # The fast rate is established here for the Euclidean h only.
+    def check_compatible(self, instance):
+        super().check_compatible(instance)
+        # The fast rate for another h needs the triangle-scaling condition
+        # of Hanzely, Richtarik and Xiao (2018), which no instance declares.
         if not isinstance(instance.h, SquaredEuclidean):
-            return []
-        return super().presets(instance, iterations)
+            raise IncompatibleConfig("the %s bound is proved for the squared "
+                                     "Euclidean h only, and %s has h = %r"
+                                     % (self.name, instance.name,
+                                        instance.h.kind))
 
-    def _bound(self, con, k, Dh0):
+    def bound(self, con, k, Dh0):
         g = self.gamma
-        return (g ** g * self.rule.r ** g * con["L"] * Dh0
+        return (g ** g * self.r ** g * con["L"] * Dh0
                 / (k + g - 1.0) ** g)
 
 
@@ -275,7 +248,8 @@ class FastGradient(_Method):
 class UniversalGradient(_Method):
     iterations: int
     eps: float = 1e-3
-    rule: Backtrack = field(default_factory=Backtrack)
+    r: float = 2.0
+    t_init: float = 1.0
 
     name = "universal_gradient"
     ysel = FAST_COMBO
@@ -283,16 +257,10 @@ class UniversalGradient(_Method):
     needs = ("M", "nu")
     theory_exponent = None  # depends on the instance's nu
 
-    @classmethod
-    def from_spec(cls, spec, iterations):
-        opts = _read_spec(spec, cls.name, eps=1e-3, r=2.0, t_init=1.0)
-        eps = opts.pop("eps")
-        return cls(iterations, eps=eps, rule=Backtrack(**opts))
-
-    def _bound(self, con, k, Dh0):
+    def bound(self, con, k, Dh0):
         nu = con["nu"]
         a = (1.0 + 3.0 * nu) / (1.0 + nu)
-        return (2.0 * self.rule.r ** a * con["M"] ** (2.0 / (1.0 + nu)) * Dh0
+        return (2.0 * self.r ** a * con["M"] ** (2.0 / (1.0 + nu)) * Dh0
                 / (self.eps ** ((1.0 - nu) / (1.0 + nu)) * k ** a)
                 + self.eps)
 
@@ -303,12 +271,15 @@ METHODS = {m.name: m for m in (ConditionalSubgradient, ProxGradient,
                                ProxSubgradient)}
 
 
-def rate_bound(config, instance, k, aux=None):
-    # A module global so that the benchmark can time every bound by this name.
-    # A bound past the float range is +inf, which _check_row records as a
-    # non-finite bound.
+def rate_bound(config, instance, k, Dh0=None):
+    """The config's rate bound at iteration k, given Dh0 = D_h(x*, x_0):
+    None without Dh0 unless the bound is on the gap; +inf past the float
+    range, which _check_row records as a non-finite bound.  (A module
+    global, so that the benchmark can time every bound by this name.)"""
+    if Dh0 is None and config.bound_kind != "gap":
+        return None
     try:
-        return config.bound(instance, k, aux)
+        return config.bound(instance.constants, k, Dh0)
     except OverflowError:
         return math.inf
 
@@ -327,20 +298,19 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True):
     """
     config.check_compatible(instance)
     t0 = time.perf_counter()
-    state = engine.init(instance)
-    ref_value = None
-    aux = None
+    state = engine.EngineState(instance)
+    ref_value = Dh0 = None
     if reference is not None:
         _, ref_point = reference
         ref_value = instance.primal_value(ref_point)
-        aux = {"Dh0": instance.h.bregman(ref_point, instance.feasible_start)}
+        Dh0 = instance.h.bregman(ref_point, instance.feasible_start)
 
     trace = Trace(instance.name, config.name, reference_value=ref_value)
     prev_t = None
     cert = None
     for k in range(config.iterations):
         trial, prev_t = config.step(state, instance, k, prev_t)
-        bound = rate_bound(config, instance, state.k, aux)
+        bound = rate_bound(config, instance, state.k, Dh0)
         if check or state.k == config.iterations:
             cert = engine.certificate(state, instance, mode=config.reported)
         else:
@@ -396,10 +366,18 @@ def _check_row(trace, instance, config, cert, state, bound, ref_value, tol):
 
 
 def compatible_configs(instance, iterations):
-    """The preset configs of every method whose bound is proved under the
-    instance's condition class."""
-    return [config for method in METHODS.values()
-            for config in method.presets(instance, iterations)]
+    """The default config method(iterations) of every method, in METHODS
+    order, whose check_compatible passes on the instance: those whose bound
+    is proved under the instance's condition class."""
+    configs = []
+    for method in METHODS.values():
+        config = method(iterations)
+        try:
+            config.check_compatible(instance)
+        except IncompatibleConfig:
+            continue
+        configs.append(config)
+    return configs
 
 
 def reference_run(instance, budget):

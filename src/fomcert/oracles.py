@@ -22,7 +22,6 @@ class SmoothOracle:
     value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
     conjugate: Callable[[np.ndarray], float]
-    differentiable: bool = True
 
 
 class SimpleFunction:

@@ -212,7 +212,6 @@ def _make_l1_regression(rng, n=10, m=20, box=1.0):
         subgradient=lambda y: np.sign(y - b),
         conjugate=lambda u: (float(u @ b)
                              if np.abs(u).max(initial=0.0) <= 1.0 + 1e-9 else INF),
-        differentiable=False,
     )
     # Relative continuity constant: squared bound on any subgradient of
     # x -> |Bx - b|_1, namely (sum of row norms)^2.

@@ -10,7 +10,8 @@ MIN_POSITIVE = 1e-300
 
 
 class ReferenceFunction:
-    """Convex differentiable generator of a Bregman distance."""
+    """Convex differentiable generator of the Bregman distance that each
+    subclass's bregman(s, z) = h(s) - h(z) - <grad h(z), s - z> computes."""
 
     kind = None
 
@@ -19,10 +20,6 @@ class ReferenceFunction:
 
     def gradient(self, x):
         raise NotImplementedError
-
-    def bregman(self, s, z):
-        """D_h(s, z) = h(s) - h(z) - <grad h(z), s - z>."""
-        return self.value(s) - self.value(z) - float(self.gradient(z) @ (s - z))
 
 
 class SquaredEuclidean(ReferenceFunction):

@@ -1,8 +1,6 @@
 """Step-size selection: schedules, the t <-> theta correspondence, r-large
 backtracking for the descent conditions, and the CG line search."""
 
-from dataclasses import dataclass
-
 from .engine import propose, segment_ends, segment_excess
 from .prox import NotAdmissible
 from .reference import DomainError
@@ -16,13 +14,7 @@ _GOLDEN_INTERVAL = 1e-10
 
 
 class BacktrackFailed(RuntimeError):
-    """Descent condition still failing at the smallest step on the grid."""
-
-
-@dataclass
-class Backtrack:
-    r: float = 2.0
-    t_init: float = 1.0
+    """No step on the backtracking grid was accepted, down to its smallest."""
 
 
 def t_from_theta(theta_k, T_prev):
@@ -44,23 +36,28 @@ def _condition_holds(trial, eps):
     return slack >= -1e-12 * max(1.0, trial.Dh)
 
 
-def backtrack(state, instance, ysel, rule, t_start=None, eps=0.0):
-    """Find a step on the geometric grid {t_start * r^j} whose descent
-    condition, with the slack t * eps (zero for the smooth methods, the
-    accuracy eps of the universal method), holds while the next grid
-    point's fails.  Returns the accepted trial.
+def backtrack(state, instance, ysel, r, t, eps=0.0):
+    """Find a step on the geometric grid {t * r^j}, starting from the step t,
+    whose descent condition, with the slack t * eps (zero for the smooth
+    methods, the accuracy eps of the universal method), holds while the
+    next grid point's fails.  Returns the accepted trial.
+
+    Raises BacktrackFailed when no grid point down to t / r^MAX_GRID_STEPS
+    is accepted.  The message names the last domain error when every trial
+    left the domain of h or Psi, and blames the declared smoothness
+    constants only when some trial failed the descent condition itself.
     """
-    r = rule.r
     if r <= 1.0:
         raise ValueError("backtracking ratio must exceed 1")
-    t = rule.t_init if t_start is None else t_start
+    domain_errors = []
 
     # A step leaving the reference function's domain (e.g. an entropy prox
     # underflowing at the simplex boundary) counts as a failed condition.
     def attempt(tc):
         try:
             trial = propose(state, instance, ysel, tc)
-        except (DomainError, NotAdmissible):
+        except (DomainError, NotAdmissible) as exc:
+            domain_errors.append(str(exc))
             return None
         return trial if _condition_holds(trial, eps) else None
 
@@ -77,6 +74,10 @@ def backtrack(state, instance, ysel, rule, t_start=None, eps=0.0):
         trial = attempt(t)
         if trial is not None:
             return trial
+    if len(domain_errors) == MAX_GRID_STEPS + 1:
+        raise BacktrackFailed(
+            "every trial step down to t = %g left the domain; the last: %s"
+            % (t, domain_errors[-1]))
     raise BacktrackFailed(
         "descent condition unsatisfied down to t = %g; the declared "
         "smoothness constants are likely wrong" % t)

@@ -26,6 +26,11 @@ def quad1d():
     return quadratic_1d()
 
 
+def matrix_of(A):
+    """The matrix of the LinearMap A, built column by column as A e_j."""
+    return np.column_stack([A.apply(e) for e in np.eye(A.in_dim)])
+
+
 def segment_excess_unhoisted(instance, x, g, s, theta):
     """The segment excess with every term evaluated at each call (three
     A-applications, two f and three Psi evaluations), in the arithmetic

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from fomcert import cli
+from fomcert import cli, methods, problems
 from fomcert.trace import CSV_HEADER, read_csv
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def _write_config(path, **overrides):
@@ -209,15 +214,6 @@ def test_run_bad_instance_spec_exits_1(tmp_path, capsys, instance, key):
     assert line.startswith("config error: %s " % key), line
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
-def test_run_bad_fom_tol_exits_1(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("FOM_TOL", value)
-    cfgpath = _write_config(tmp_path / "cfg.json")
-    assert cli.main(["run", "--config", str(cfgpath)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: FOM_TOL"), err
-
-
 @pytest.mark.parametrize("instance,method,constants", [
     ("l1-regression", "prox_subgradient", {"M": "abc"}),
     ("l1-regression", "prox_subgradient", {"M": None}),
@@ -302,6 +298,75 @@ def test_run_numerical_fault_exits_2(tmp_path, capsys, instance, method, extra,
     assert err and all(line.startswith(first) for line in err), err
     with open(tmp_path / "out" / "summary.json") as fh:
         assert json.load(fh)["violations"]
+
+
+def test_run_every_trial_outside_the_domain_says_so(tmp_path, capsys):
+    # All 61 trial steps from t_init = 1e300 give a projection input that
+    # is not finite; the declared constants are right.
+    cfgpath = _write_config(
+        tmp_path / "cfg.json",
+        instance={"name": "simplex-quadratic", "seed": 0,
+                  "params": {"reference": "euclidean"}},
+        method={"name": "fast_gradient", "t_init": 1e300}, iterations=20,
+        reference=False)
+    assert cli.main(["run", "--config", str(cfgpath),
+                     "--out", str(tmp_path / "out")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("run aborted: every trial step down to t = "), line
+    assert "left the domain; the last: simplex projection of a +inf" in line
+    assert "smoothness constants" not in line
+
+
+# Each registry instance's methods, as test_compatible_configs_cover_registry
+# in tests/test_methods.py lists them; every other pair is a config error.
+_RUNS_ON = {
+    "cg-ball": {"conditional_subgradient"},
+    "lasso": {"prox_gradient", "fast_gradient"},
+    "simplex-quadratic": {"prox_gradient"},
+    "poisson-burg": {"prox_gradient"},
+    "l1-regression": {"prox_subgradient"},
+    "holder": {"universal_gradient"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(methods.METHODS))
+@pytest.mark.parametrize("instance", sorted(problems.REGISTRY_NAMES))
+def test_run_truth_table(tmp_path, capsys, instance, method):
+    cfgpath = _write_config(tmp_path / "cfg.json",
+                            instance={"name": instance, "seed": 0},
+                            method={"name": method}, iterations=5,
+                            reference=False)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfgpath), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if method in _RUNS_ON[instance]:
+        assert code == 0 and err == [], err
+    else:
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not (out / "trace.csv").exists()
+
+
+def _module_cli(*args):
+    """Run python -m fomcert.cli with the checkout's src first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fomcert.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_verify_exits_0():
+    done = _module_cli("verify", "--instance", "lasso", "--samples", "50")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
+
+
+def test_module_entry_point_bad_config_exits_1(tmp_path):
+    done = _module_cli("run", "--config", str(tmp_path / "missing.json"))
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith("config error: cannot read config"), line
 
 
 def _lasso_L():
@@ -393,13 +458,6 @@ def test_rates_slope_value(tmp_path, capsys):
 
 def test_rates_missing_summary_exits_1(tmp_path):
     assert cli.main(["rates", "--trace", str(tmp_path / "none.csv")]) == 1
-
-
-def test_fom_tol_env(monkeypatch):
-    monkeypatch.setenv("FOM_TOL", "1e-3")
-    assert cli._default_tol() == 1e-3
-    monkeypatch.delenv("FOM_TOL")
-    assert cli._default_tol() == 1e-8
 
 
 def test_read_csv_rejects_wrong_header(tmp_path):

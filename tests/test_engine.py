@@ -8,10 +8,10 @@ from fomcert.engine import (
     CURRENT_AVERAGE,
     FAST_COMBO,
     PROX_POINT,
+    EngineState,
     InfeasibleStart,
     certificate,
     d_conjugate,
-    init,
     segment_ends,
     segment_excess,
 )
@@ -27,7 +27,7 @@ def iterate(state, instance, ysel, t):
 
 
 def test_one_exact_gradient_step_solves_quadratic(quad1d):
-    state = init(quad1d)
+    state = EngineState(quad1d)
     iterate(state, quad1d, PROX_POINT, 1.0)  # t = 1/L
     assert abs(quad1d.primal_value(state.x)) <= 1e-30
     assert state.k == 1 and abs(state.T.total - 1.0) <= 1e-15
@@ -35,7 +35,7 @@ def test_one_exact_gradient_step_solves_quadratic(quad1d):
 
 def test_theta_recurrence_and_averages():
     inst = make_instance("lasso", seed=0)
-    state = init(inst)
+    state = EngineState(inst)
     thetas, ts, history = [], [], []
     for k in range(30):
         t = 0.1 + 0.01 * k
@@ -63,7 +63,7 @@ def test_theta_recurrence_and_averages():
 @pytest.mark.parametrize("ysel", [PROX_POINT, CURRENT_AVERAGE, FAST_COMBO])
 def test_identities_hold_for_every_y_selector(ysel):
     inst = make_instance("lasso", seed=3)
-    state = init(inst)
+    state = EngineState(inst)
     t = 0.5 / inst.constants["L"]
     for _ in range(50):
         iterate(state, inst, ysel, t)
@@ -74,7 +74,7 @@ def test_identities_hold_for_every_y_selector(ysel):
 
 def test_certificate_modes_and_invariants():
     inst = make_instance("lasso", seed=1)
-    state = init(inst)
+    state = EngineState(inst)
     for _ in range(80):
         iterate(state, inst, PROX_POINT, 0.5 / inst.constants["L"])
     for mode in ("x", "z"):
@@ -86,14 +86,14 @@ def test_certificate_modes_and_invariants():
     with pytest.raises(ValueError):
         certificate(state, inst, mode="bad")
     with pytest.raises(ValueError):
-        certificate(init(inst), inst)
+        certificate(EngineState(inst), inst)
 
 
 def test_d_conjugate_closed_form(quad1d):
     # h = |.|^2/2, anchor 0, s_prev = [2], T = 4:
     # (<grad h(s_prev) - grad h(anchor), s_prev> - D_h(s_prev, anchor)) / T
     # = (4 - 2)/4 = 0.5.
-    state = init(quad1d)
+    state = EngineState(quad1d)
     state.k = 1
     state.s_prev = np.array([2.0])
     state.s_anchor = np.array([0.0])
@@ -103,14 +103,14 @@ def test_d_conjugate_closed_form(quad1d):
 
 def test_d_conjugate_zero_reference():
     inst = make_instance("cg-ball", seed=0)
-    state = init(inst)
+    state = EngineState(inst)
     iterate(state, inst, CURRENT_AVERAGE, 1.0)
     assert d_conjugate(state, inst) == 0.0
 
 
 def test_d_conjugate_requires_iterations(quad1d):
     with pytest.raises(ValueError):
-        d_conjugate(init(quad1d), quad1d)
+        d_conjugate(EngineState(quad1d), quad1d)
 
 
 def test_excess_quadratic_closed_form(quad1d):
@@ -171,11 +171,11 @@ def test_infeasible_start_rejected():
     inst = make_instance("simplex-quadratic", seed=0)
     inst.feasible_start = np.zeros(inst.A.in_dim)  # not on the simplex
     with pytest.raises(InfeasibleStart):
-        init(inst)
+        EngineState(inst)
 
 
 def test_propose_validates_inputs(quad1d):
-    state = init(quad1d)
+    state = EngineState(quad1d)
     with pytest.raises(ValueError):
         engine.propose(state, quad1d, PROX_POINT, -1.0)
     with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ def test_propose_validates_inputs(quad1d):
 
 def test_cggap_recursion_matches_incremental():
     inst = make_instance("cg-ball", seed=0)
-    state = init(inst)
+    state = EngineState(inst)
     from fomcert.steprules import cg_theta, t_from_theta
     direct = None
     for k in range(20):
@@ -218,7 +218,7 @@ def test_cached_trials_match_fresh_proposals(name):
     con = inst.constants
     t2 = 0.2 / con.get("L", con.get("M"))
     t1 = 2.5 * t2
-    state = init(inst)
+    state = EngineState(inst)
     for k in range(4):
         fresh = copy.deepcopy(state)
         first = {ysel: engine.propose(state, inst, ysel, t1) for ysel in _SELECTORS}
@@ -249,7 +249,7 @@ def test_prox_point_step_reuses_committed_s_side(monkeypatch, name, method):
     from fomcert.methods import METHODS
     inst = make_instance(name, seed=0)
     config = METHODS[method](iterations=30)
-    state = init(inst)
+    state = EngineState(inst)
     calls = {"A": 0, "f": 0, "psi": 0, "trials": 0}
 
     def counting(key, fn):
@@ -281,7 +281,7 @@ def test_carried_s_side_equals_fresh_evaluation(name):
     if name == "lasso":  # a start where Psi = lam |.|_1 is not zero
         inst.feasible_start = np.full(inst.A.in_dim, 0.1)
     config = ProxGradient(iterations=200)
-    state = init(inst)
+    state = EngineState(inst)
     prev_t = None
     for k in range(config.iterations + 1):
         As, fAs, psi_s = state.s_prev_side

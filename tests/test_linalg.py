@@ -11,8 +11,6 @@ def test_identity_map_copies():
     assert np.array_equal(y, x) and y is not x
     u = A.adjoint_apply(x)
     assert np.array_equal(u, x) and u is not x
-    assert A.is_identity
-    assert np.array_equal(A.matrix, np.eye(3))
 
 
 def test_dense_map_apply_and_adjoint():
@@ -23,7 +21,6 @@ def test_dense_map_apply_and_adjoint():
     assert np.allclose(A.apply(x), M @ x)
     u = np.array([1.0, 0.0, -2.0])
     assert np.allclose(A.adjoint_apply(u), M.T @ u)
-    assert not A.is_identity
 
 
 def test_adjoint_identity_inner_products():

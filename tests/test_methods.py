@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fomcert import engine, methods
+from fomcert import cli, engine, methods
 from fomcert.engine import Certificate
 from fomcert.methods import (
     METHODS,
     ConditionalSubgradient,
+    ConfigError,
     FastGradient,
     IncompatibleConfig,
     ProxGradient,
@@ -23,11 +24,12 @@ from fomcert.methods import (
     run,
 )
 from fomcert.oracles import L1Norm
-from fomcert.problems import REGISTRY_NAMES, make_instance
+from fomcert.problems import make_instance
 from fomcert.prox import UnsupportedPair, prox_step
 from fomcert.trace import Trace
 
 from conftest import quadratic_1d
+from test_golden_traces import RUNS
 
 
 def test_compatibility_rules():
@@ -82,18 +84,33 @@ def test_rate_bound_formulas(quad1d):
     assert abs(rate_bound(cg, quad1d, 2) - 1.0) <= 1e-15
     # Prox gradient: r L Dh0 / k at r=2, L=1, Dh0=0.5, k=10 -> 0.1.
     pg = ProxGradient(iterations=10)
-    assert abs(rate_bound(pg, quad1d, 10, {"Dh0": 0.5}) - 0.1) <= 1e-15
+    assert abs(rate_bound(pg, quad1d, 10, 0.5) - 0.1) <= 1e-15
     # Prox subgradient at C=1, M=1, Dh0=1, K=k=100 -> 1/10 + 1/20 = 0.15.
     quad1d.constants["M"] = 1.0
     ps = ProxSubgradient(iterations=100, C=1.0)
-    assert abs(rate_bound(ps, quad1d, 100, {"Dh0": 1.0}) - 0.15) <= 1e-15
+    assert abs(rate_bound(ps, quad1d, 100, 1.0) - 0.15) <= 1e-15
     # Fast gradient gamma=2, r=2: 4 r^2 L Dh0 / (k+1)^2.
     fg = FastGradient(iterations=10)
     k = 7
     expect = 16.0 * 1.0 * 0.5 / (k + 1.0) ** 2
-    assert abs(rate_bound(fg, quad1d, k, {"Dh0": 0.5}) - expect) <= 1e-15
+    assert abs(rate_bound(fg, quad1d, k, 0.5) - expect) <= 1e-15
     # Without the reference distance the bound is unavailable.
     assert rate_bound(pg, quad1d, 10) is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConditionalSubgradient(10, schedule="thetaa"),
+    lambda: ConditionalSubgradient(10, nu=0.0),
+    lambda: UniversalGradient(10, eps=0.0),
+    lambda: ProxSubgradient(10, C=-1.0),
+    lambda: ProxGradient(10, r=1.0),
+    lambda: FastGradient(10, gamma=0.5),
+    lambda: FastGradient(10, t_init=float("inf")),
+], ids=["schedule", "nu", "eps", "C", "r", "gamma", "t_init"])
+def test_library_config_out_of_range_raises(make):
+    # A config built in Python passes the range checks of a JSON spec.
+    with pytest.raises(ConfigError):
+        make()
 
 
 def subgradient_rhs(trace, M):
@@ -233,20 +250,21 @@ def test_check_row_fails_closed(field, value):
 
 
 def _registry_configs(iterations):
-    for name in REGISTRY_NAMES:
-        inst = make_instance(name, seed=0)
-        for config in compatible_configs(inst, iterations):
-            label = "%s:%s" % (name, config.name)
-            if hasattr(config, "schedule"):
-                label += ":" + config.schedule
-            yield pytest.param(name, config, id=label)
+    # The golden-trace configs: compatible_configs offers each method's
+    # defaults only, without the cg-ball line search.
+    for name, spec in RUNS.values():
+        config = cli.config_from_dict(spec, iterations)
+        label = "%s:%s" % (name, config.name)
+        if hasattr(config, "schedule"):
+            label += ":" + config.schedule
+        yield pytest.param(name, config, id=label)
 
 
 @pytest.mark.parametrize("name,config", _registry_configs(40))
 def test_state_objective_matches_fresh_evaluation(name, config):
     # F(x_k) carried on the state equals a fresh evaluation at the iterate.
     inst = make_instance(name, seed=0)
-    state = engine.init(inst)
+    state = engine.EngineState(inst)
     prev_t = None
     for k in range(config.iterations + 1):
         if k:

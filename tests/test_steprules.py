@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from fomcert import engine, steprules
-from fomcert.engine import PROX_POINT, init, propose
+from fomcert.engine import PROX_POINT, EngineState, propose
 from fomcert.methods import ConditionalSubgradient
 from fomcert.problems import SplitMix64, make_instance
 from fomcert.steprules import (
     MAX_GRID_STEPS,
-    Backtrack,
     BacktrackFailed,
     _condition_holds,
     backtrack,
@@ -28,7 +27,7 @@ def proposed_theta(t, T_prev):
     """The theta that engine.propose gives the step t after steps summing
     to T_prev."""
     inst = quadratic_1d()
-    state = init(inst)
+    state = EngineState(inst)
     state.T.add(T_prev)
     return propose(state, inst, PROX_POINT, t).theta
 
@@ -72,15 +71,15 @@ def test_step_ratio_bound_examples():
 
 def test_backtrack_halves_to_inverse_curvature(quad1d):
     # Condition holds iff t <= 1/L = 1; from t_init=4, r=2 the grid accepts 1.
-    state = init(quad1d)
-    trial = backtrack(state, quad1d, PROX_POINT, Backtrack(r=2.0, t_init=4.0))
+    state = EngineState(quad1d)
+    trial = backtrack(state, quad1d, PROX_POINT, 2.0, 4.0)
     assert abs(trial.t - 1.0) <= 1e-15
     assert not _condition_holds(propose(state, quad1d, PROX_POINT, 2.0), 0.0)
 
 
 def test_backtrack_grows_to_inverse_curvature(quad1d):
-    state = init(quad1d)
-    trial = backtrack(state, quad1d, PROX_POINT, Backtrack(r=2.0, t_init=0.25))
+    state = EngineState(quad1d)
+    trial = backtrack(state, quad1d, PROX_POINT, 2.0, 0.25)
     assert abs(trial.t - 1.0) <= 1e-15
     assert not _condition_holds(propose(state, quad1d, PROX_POINT, 2.0), 0.0)
 
@@ -88,50 +87,47 @@ def test_backtrack_grows_to_inverse_curvature(quad1d):
 def test_backtrack_r_large_pair_property():
     # Accepted t passes its condition while t*r fails, re-evaluated explicitly.
     inst = make_instance("lasso", seed=0)
-    state = init(inst)
-    rule = Backtrack(r=2.0, t_init=1.0)
-    prev_t = None
+    state = EngineState(inst)
+    r, t = 2.0, 1.0
     for _ in range(10):
-        trial = backtrack(state, inst, PROX_POINT, rule, t_start=prev_t)
+        trial = backtrack(state, inst, PROX_POINT, r, t)
         assert _condition_holds(propose(state, inst, PROX_POINT, trial.t), 0.0)
-        rejected = propose(state, inst, PROX_POINT, trial.t * rule.r)
+        rejected = propose(state, inst, PROX_POINT, trial.t * r)
         assert not _condition_holds(rejected, 0.0)
         engine.commit(state, inst, trial)
-        prev_t = trial.t
+        t = trial.t
 
 
 def test_universal_large_eps_accepts_without_halving(quad1d):
-    state = init(quad1d)
-    trial = backtrack(state, quad1d, PROX_POINT, Backtrack(r=2.0, t_init=4.0),
-                      eps=100.0)
+    state = EngineState(quad1d)
+    trial = backtrack(state, quad1d, PROX_POINT, 2.0, 4.0, eps=100.0)
     assert trial.t >= 4.0  # first candidate passed; only growth from there
 
 
 def test_backtrack_failure_diagnostic():
     # The grid reaches down to t = 2^-MAX_GRID_STEPS = 1/L at L = 2^60, and
     # no further.
-    rule = Backtrack(r=2.0, t_init=1.0)
     inst = quadratic_1d(curvature=2.0 ** MAX_GRID_STEPS)
-    trial = backtrack(init(inst), inst, PROX_POINT, rule)
+    trial = backtrack(EngineState(inst), inst, PROX_POINT, 2.0, 1.0)
     assert trial.t == 2.0 ** -MAX_GRID_STEPS
     inst = quadratic_1d(curvature=1e30)
-    with pytest.raises(BacktrackFailed):
-        backtrack(init(inst), inst, PROX_POINT, rule)
+    with pytest.raises(BacktrackFailed, match="smoothness constants"):
+        backtrack(EngineState(inst), inst, PROX_POINT, 2.0, 1.0)
 
 
 def test_backtrack_survives_domain_failures_on_probes():
     # Entropy prox underflows for huge trial steps; the probe must count as
     # a failed condition instead of aborting the run.
     inst = make_instance("simplex-quadratic", seed=0)
-    state = init(inst)
-    trial = backtrack(state, inst, PROX_POINT, Backtrack(r=2.0, t_init=1e6))
+    state = EngineState(inst)
+    trial = backtrack(state, inst, PROX_POINT, 2.0, 1e6)
     assert np.all(trial.s > 0.0)
     assert _condition_holds(trial, 0.0)
 
 
 def test_backtrack_rejects_bad_ratio(quad1d):
     with pytest.raises(ValueError):
-        backtrack(init(quad1d), quad1d, PROX_POINT, Backtrack(r=1.0))
+        backtrack(EngineState(quad1d), quad1d, PROX_POINT, 1.0, 1.0)
 
 
 def test_linesearch_quadratic_example():
@@ -249,7 +245,7 @@ def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch):
     # and the trial takes s, A s and Psi(s) from the search.
     inst = make_instance("cg-ball", seed=0)
     config = ConditionalSubgradient(iterations=20, schedule="linesearch")
-    state = init(inst)
+    state = EngineState(inst)
     config.step(state, inst, 0, None)  # theta_0 = 1, no search
     calls = _count_evaluations(monkeypatch, inst)
     linmin = inst.psi.linmin
