@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from . import methods, problems, trace as trace_mod
+from .engine import StepOutOfRange
 from .methods import ConfigError, check_number, check_positive_int
 from .steprules import BacktrackFailed
 
@@ -76,7 +77,9 @@ def cmd_run(args):
         return EXIT_CONFIG
 
     reference = None
-    if cfg.get("reference", instance.known_optimum is not None):
+    # By default, a run gets a reference where the instance registers a
+    # solver for its optimum; reading the solver does not run it.
+    if cfg.get("reference", instance.solve_optimum is not None):
         try:
             reference = problems.reference_optimum(
                 instance, budget=cfg.get("reference_budget", 20000))
@@ -88,7 +91,7 @@ def cmd_run(args):
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = methods.run(instance, config, reference=reference, tol=tol)
-    except BacktrackFailed as exc:
+    except (BacktrackFailed, StepOutOfRange) as exc:
         summary = {"violations": ["backtracking failed: %s" % exc]}
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)

@@ -21,6 +21,11 @@ class InfeasibleStart(ValueError):
     pass
 
 
+class StepOutOfRange(ValueError):
+    """A trial step t whose weight theta = t / (T + t) is not positive: t is
+    not finite, or T + t overflowed."""
+
+
 class _Kahan:
     """Compensated (Neumaier) scalar accumulator."""
 
@@ -172,6 +177,9 @@ def propose(state, instance, ysel, t, solved=None):
         raise ValueError("step size must be positive")
     T_prev = state.T.total
     theta = t / (T_prev + t)
+    if not theta > 0.0:  # also NaN
+        raise StepOutOfRange("step t = %g after the steps' sum T = %g has "
+                             "weight theta = %g" % (t, T_prev, theta))
 
     if ysel == FAST_COMBO:
         y_side = _y_side(instance, (1.0 - theta) * state.x + theta * state.s_prev)

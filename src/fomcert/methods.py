@@ -30,7 +30,9 @@ class IncompatibleConfig(ConfigError):
 
 
 class ReferenceBracketError(ValueError):
-    """A reference run's final certificate does not bracket the optimum."""
+    """A reference optimum that is not certified: a reference run whose
+    final certificate does not bracket the optimum, or a registered solve
+    that failed or whose certified gap is not finite and small."""
 
 
 def check_number(value, what, lower, strict=False):

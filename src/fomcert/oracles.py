@@ -135,7 +135,11 @@ class ProblemInstance:
     h: ReferenceFunction
     feasible_start: np.ndarray
     constants: dict = field(default_factory=dict)
-    known_optimum: Optional[tuple] = None  # (value, point)
+    # () -> (value, point, gap) from a solver independent of the engine,
+    # with gap a certified bound on value - optimum; reference_optimum in
+    # problems calls it once and keeps (value, point) as optimum.
+    solve_optimum: Optional[Callable] = None
+    optimum: Optional[tuple] = None
     name: str = ""
     condition: str = ""  # which smoothness/continuity class the instance claims
 

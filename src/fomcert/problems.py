@@ -1,15 +1,22 @@
 """Desk-scale benchmark instances with declared constants, domain samplers,
-and a numerical verifier for the smoothness/continuity/curvature classes."""
+registered optima, and a numerical verifier for the
+smoothness/continuity/curvature classes."""
 
 import inspect
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import methods
 from .engine import segment_excess
 from .linalg import LinearMap
-from .methods import ConfigError, check_number, check_positive_int
+from .methods import (
+    ConfigError,
+    ReferenceBracketError,
+    check_number,
+    check_positive_int,
+)
 from .oracles import (
     BoxIndicator,
     L1BallIndicator,
@@ -95,16 +102,32 @@ class SplitMix64:
         in numpy.
         """
         u = self.uniforms(2 * n)
-        u1 = np.maximum(u[0::2], 1e-300).tolist()
-        angles = (2.0 * math.pi * u[1::2]).tolist()
-        logs = np.fromiter(map(math.log, u1), np.float64, n)
-        return np.sqrt(-2.0 * logs) * np.fromiter(map(math.cos, angles),
-                                                  np.float64, n)
+        return _box_muller(u[0::2], u[1::2])
+
+
+def _box_muller(u1, u2):
+    """SplitMix64.normal's variates for equal-shaped arrays of its two
+    uniforms u1 and u2, with log and cos per element through math."""
+    size = u1.size
+    logs = np.fromiter(map(math.log, np.maximum(u1, 1e-300).ravel().tolist()),
+                       np.float64, size)
+    coss = np.fromiter(map(math.cos, (2.0 * math.pi * u2).ravel().tolist()),
+                       np.float64, size)
+    return (np.sqrt(-2.0 * logs) * coss).reshape(u1.shape)
 
 
 # Boundary margin for sampling: conditions are tested away from the region
 # where Bregman distances blow up.
 _MARGIN = 1e-3
+
+
+class Sampler(NamedTuple):
+    """An instance's sample points as a pure map of uniforms: points maps a
+    (k, width) block of uniforms in [0, 1) to k points, one per row, each
+    drawn from its row's width uniforms in order."""
+
+    width: int
+    points: Callable
 
 
 def _quadratic_oracle(Q, q):
@@ -131,9 +154,9 @@ def _make_simplex_quadratic(rng, n=20, reference="entropy"):
     h = Entropy() if reference == "entropy" else SquaredEuclidean()
     start = np.full(n, 1.0 / n)
 
-    def sampler(r):
-        p = -np.log(np.maximum(r.uniforms(n), 1e-12))
-        p = p / p.sum()
+    def points(u):
+        p = -np.log(np.maximum(u, 1e-12))
+        p = p / p.sum(axis=1, keepdims=True)
         return (p + 2 * _MARGIN) / (1.0 + 2 * _MARGIN * n)
 
     # Pinsker: entropy is 1-strongly convex on the simplex in the l1 norm,
@@ -142,7 +165,7 @@ def _make_simplex_quadratic(rng, n=20, reference="entropy"):
     return ProblemInstance(
         A=LinearMap.identity(n), f=f, psi=SimplexIndicator(), h=h,
         feasible_start=start, constants={"L": L},
-        name="simplex-quadratic", condition="smooth.1"), sampler
+        name="simplex-quadratic", condition="smooth.1"), Sampler(n, points)
 
 
 def _make_lasso(rng, n=20, m=30, lam=None, cond=1e5):
@@ -165,13 +188,13 @@ def _make_lasso(rng, n=20, m=30, lam=None, cond=1e5):
     start = np.zeros(n)
     scale = max(1.0, float(np.max(np.abs(x_true))))
 
-    def sampler(r):
-        return scale * (2.0 * r.uniforms(n) - 1.0)
+    def points(u):
+        return scale * (2.0 * u - 1.0)
 
     return ProblemInstance(
         A=LinearMap.dense(B), f=f, psi=L1Norm(lam), h=SquaredEuclidean(),
         feasible_start=start, constants={"L": L},
-        name="lasso", condition="smooth.1"), sampler
+        name="lasso", condition="smooth.1"), Sampler(n, points)
 
 
 def _make_poisson_burg(rng, n=10, m=15, lo=0.1, hi=10.0):
@@ -193,13 +216,13 @@ def _make_poisson_burg(rng, n=10, m=15, lo=0.1, hi=10.0):
     L = float(np.sum(b))
     start = np.ones(n)
 
-    def sampler(r):
-        return lo + _MARGIN + (hi - lo - 2 * _MARGIN) * r.uniforms(n)
+    def points(u):
+        return lo + _MARGIN + (hi - lo - 2 * _MARGIN) * u
 
     return ProblemInstance(
         A=LinearMap.dense(B), f=f, psi=BoxIndicator(np.full(n, lo), np.full(n, hi)),
         h=Burg(), feasible_start=start, constants={"L": L},
-        name="poisson-burg", condition="smooth.1"), sampler
+        name="poisson-burg", condition="smooth.1"), Sampler(n, points)
 
 
 def _make_l1_regression(rng, n=10, m=20, box=1.0):
@@ -218,16 +241,15 @@ def _make_l1_regression(rng, n=10, m=20, box=1.0):
     M = float(np.sum(np.linalg.norm(B, axis=1))) ** 2
     start = np.zeros(n)
 
-    def sampler(r):
-        return (box - _MARGIN) * (2.0 * r.uniforms(n) - 1.0)
+    def points(u):
+        return (box - _MARGIN) * (2.0 * u - 1.0)
 
-    inst = ProblemInstance(
+    return ProblemInstance(
         A=LinearMap.dense(B), f=f,
         psi=BoxIndicator(np.full(n, -box), np.full(n, box)),
         h=SquaredEuclidean(), feasible_start=start, constants={"M": M},
-        name="l1-regression", condition="relcont")
-    inst.known_optimum = _l1_regression_optimum(B, b, box)
-    return inst, sampler
+        solve_optimum=lambda: _l1_regression_optimum(B, b, box),
+        name="l1-regression", condition="relcont"), Sampler(n, points)
 
 
 def _l1_regression_optimum(B, b, box):
@@ -239,8 +261,16 @@ def _l1_regression_optimum(B, b, box):
     b_ub = np.concatenate([b, -b])
     bounds = [(-box, box)] * n + [(0, None)] * m
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.x is None:
+        raise ReferenceBracketError("linprog failed: %s" % res.message)
     x = res.x[:n]
-    return float(np.sum(np.abs(B @ x - b))), x
+    value = float(np.sum(np.abs(B @ x - b)))
+    # The multipliers of Bx - r <= b and -Bx - r <= -b give a point u of the
+    # Fenchel dual max over |u|_inf <= 1 of -u'b - box |B'u|_1.
+    marginals = res.ineqlin.marginals
+    u = np.clip(marginals[m:] - marginals[:m], -1.0, 1.0)
+    dual = -float(u @ b) - box * float(np.abs(B.T @ u).sum())
+    return value, x, value - dual
 
 
 def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
@@ -268,16 +298,16 @@ def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
     M = 2.0 ** (1.0 - nu) * sigma ** p
     start = np.full(n, 0.75 * box)
 
-    def sampler(r):
-        return (box - _MARGIN) * (2.0 * r.uniforms(n) - 1.0)
+    def points(u):
+        return (box - _MARGIN) * (2.0 * u - 1.0)
 
-    inst = ProblemInstance(
+    return ProblemInstance(
         A=LinearMap.dense(B), f=f,
         psi=BoxIndicator(np.full(n, -box), np.full(n, box)),
         h=SquaredEuclidean(), feasible_start=start,
-        constants={"M": M, "nu": nu}, name="holder", condition="smooth.3")
-    inst.known_optimum = _holder_optimum(B, b, nu, box, n)
-    return inst, sampler
+        constants={"M": M, "nu": nu},
+        solve_optimum=lambda: _holder_optimum(B, b, nu, box, n),
+        name="holder", condition="smooth.3"), Sampler(n, points)
 
 
 def _holder_optimum(B, b, nu, box, n):
@@ -293,7 +323,10 @@ def _holder_optimum(B, b, nu, box, n):
     res = minimize(fun, np.zeros(n), jac=True, method="L-BFGS-B",
                    bounds=[(-box, box)] * n,
                    options={"maxiter": 5000, "ftol": 1e-16, "gtol": 1e-12})
-    return float(res.fun), res.x
+    # The Frank-Wolfe gap max over the box of <grad, x - v>.
+    _, grad = fun(res.x)
+    gap = float(grad @ res.x) + box * float(np.abs(grad).sum())
+    return float(res.fun), res.x, gap
 
 
 def _make_cg_ball(rng, n=10, radius=1.0):
@@ -308,16 +341,44 @@ def _make_cg_ball(rng, n=10, radius=1.0):
     M = L * (2.0 * radius) ** 2  # curvature constant: diameter^2 * lambda_max
     start = np.zeros(n)
 
-    def sampler(r):
-        y = r.normals(n)
-        target = radius * (1.0 - _MARGIN) * r.uniform()
-        return y * target / float(np.sum(np.abs(y)))
+    def points(u):
+        # The normals' 2n uniforms, then one for the l1 norm of the point.
+        y = _box_muller(u[:, 0:2 * n:2], u[:, 1:2 * n:2])
+        target = radius * (1.0 - _MARGIN) * u[:, 2 * n:]
+        return y * target / np.abs(y).sum(axis=1, keepdims=True)
 
     return ProblemInstance(
         A=LinearMap.identity(n), f=f, psi=L1BallIndicator(radius),
         h=ZeroReference(), feasible_start=start,
-        constants={"M": M, "nu": 1.0}, name="cg-ball",
-        condition="curv.nu"), sampler
+        constants={"M": M, "nu": 1.0},
+        solve_optimum=lambda: _cg_ball_optimum(Q, q, radius),
+        name="cg-ball", condition="curv.nu"), Sampler(2 * n + 1, points)
+
+
+def _cg_ball_optimum(Q, q, radius):
+    """min 0.5 x'Qx + q'x over |x|_1 <= radius by SLSQP on x = p - p' with
+    p, p' >= 0 and sum(p + p') <= radius.  The gap is the Frank-Wolfe gap
+    <g, x> + radius |g|_inf at g = Qx + q (Jaggi, 2013)."""
+    from scipy.optimize import minimize
+    n = q.size
+
+    def fun(z):
+        x = z[:n] - z[n:]
+        g = Q @ x + q
+        return 0.5 * float(x @ (Q @ x)) + float(q @ x), np.concatenate([g, -g])
+
+    ball = {"type": "ineq", "fun": lambda z: radius - z.sum(),
+            "jac": lambda z: -np.ones(2 * n)}
+    res = minimize(fun, np.zeros(2 * n), jac=True, method="SLSQP",
+                   bounds=[(0.0, None)] * (2 * n), constraints=[ball],
+                   options={"maxiter": 1000, "ftol": 1e-16})
+    x = res.x[:n] - res.x[n:]
+    norm = float(np.abs(x).sum())
+    if norm > radius:  # the gap bounds the optimum only from a feasible x
+        x *= radius / norm
+    g = Q @ x + q
+    value = 0.5 * float(x @ (Q @ x)) + float(q @ x)
+    return value, x, float(g @ x) + radius * float(np.abs(g).max())
 
 
 _REGISTRY = {
@@ -368,13 +429,21 @@ def make_instance(name, seed=0, **params):
     """Build a registry instance deterministically from its seed.
 
     Raises KeyError for an unknown name and ConfigError for a seed outside
-    [0, 2**64) or a parameter the instance does not take or out of range.
+    [0, 2**64), a parameter the instance does not take or out of range, or
+    parameters that make a declared constant other than a finite number
+    > 0.  Runs no solve: a registered optimum is solved on first use
+    (reference_optimum).
     """
     if name not in _REGISTRY:
         raise KeyError("unknown instance %r; choose from %s" % (name, REGISTRY_NAMES))
     _check_spec(name, seed, params)
     rng = SplitMix64(seed)
-    instance, sampler = _REGISTRY[name](rng, **params)
+    try:
+        instance, sampler = _REGISTRY[name](rng, **params)
+    except OverflowError as exc:
+        raise ConfigError("a declared constant of %s overflows: %s" % (name, exc))
+    for key, value in instance.constants.items():
+        check_number(value, "the declared constant " + key, 0.0, strict=True)
     instance.sampler = sampler
     return instance
 
@@ -387,69 +456,92 @@ def _composite_bregman(instance, u, v):
     return f.value(Au) - f.value(Av) - float(g @ (u - v))
 
 
+# Each condition class's sample: its number of points, then whether one
+# scalar uniform (t or theta) follows them in the stream.
+_SAMPLE_SHAPE = {"smooth.1": (2, 0), "relcont": (2, 1), "smooth.2": (3, 1),
+                 "smooth.3": (3, 1), "curv.nu": (2, 1)}
+
+# verify_constants draws the uniforms of at most this many samples as one
+# block.  Blocks of 64 and 1024 samples run at the same speed, but the
+# block's memory grows with it: a traced peak of 0.12 MB against 1.8 MB.
+_CHUNK = 64
+
+
 def verify_constants(instance, samples=1000, seed=12345, constants=None):
     """Sample the claimed condition class and report the worst violation ratio.
 
     Passes iff max_ratio <= 1 + 1e-9.  Ratios with a vanishing right-hand
     side are skipped (both sides are zero to rounding there).
+
+    Sample i takes its points, then its scalar uniform, from the stream
+    SplitMix64(seed) right after sample i - 1's; the samples of one chunk
+    are drawn as one block of uniforms.
     """
     con = dict(instance.constants)
     if constants:
         con.update(constants)
-    rng = SplitMix64(seed)
-    sample = instance.sampler
-    h = instance.h
     cond = instance.condition
+    if cond not in _SAMPLE_SHAPE:
+        raise ValueError("instance claims no known condition class")
+    npoints, nscalars = _SAMPLE_SHAPE[cond]
+    width, points = instance.sampler
+    span = npoints * width
+    rng = SplitMix64(seed)
+    h = instance.h
     max_ratio = 0.0
     tiny = 1e-12
 
-    for _ in range(samples):
-        if cond == "smooth.1":
-            x, y = sample(rng), sample(rng)
-            rhs = con["L"] * h.bregman(y, x)
-            if rhs < tiny:
-                continue
-            ratio = _composite_bregman(instance, y, x) / rhs
-        elif cond == "relcont":
-            x, s = sample(rng), sample(rng)
-            t = 1e-3 + rng.uniform()
-            g = instance.A.adjoint_apply(
-                instance.f.subgradient(instance.A.apply(x)))
-            lhs = -t * float(g @ (s - x)) - h.bregman(s, x)
-            rhs = con["M"] * t * t / 2.0
-            ratio = lhs / rhs
-        elif cond == "smooth.2":
-            x, s, s_ = sample(rng), sample(rng), sample(rng)
-            theta = rng.uniform()
-            rhs = con["L"] * theta ** con["gamma"] * h.bregman(s, s_)
-            if rhs < tiny:
-                continue
-            u = (1.0 - theta) * x + theta * s
-            v = (1.0 - theta) * x + theta * s_
-            ratio = _composite_bregman(instance, u, v) / rhs
-        elif cond == "smooth.3":
-            x, s, s_ = sample(rng), sample(rng), sample(rng)
-            theta = rng.uniform()
-            nu = con["nu"]
-            rhs = (2.0 * con["M"] * theta ** (1.0 + nu)
-                   * h.bregman(s, s_) ** ((1.0 + nu) / 2.0) / (1.0 + nu))
-            if rhs < tiny:
-                continue
-            u = (1.0 - theta) * x + theta * s
-            v = (1.0 - theta) * x + theta * s_
-            ratio = _composite_bregman(instance, u, v) / rhs
-        elif cond == "curv.nu":
-            x, s = sample(rng), sample(rng)
-            theta = rng.uniform()
-            nu = con["nu"]
-            rhs = con["M"] * theta ** (1.0 + nu) / (1.0 + nu)
-            if rhs < tiny:
-                continue
-            g = instance.f.subgradient(instance.A.apply(x))
-            ratio = segment_excess(instance, x, g, s, theta) / rhs
-        else:
-            raise ValueError("instance claims no known condition class")
-        max_ratio = max(max_ratio, ratio)
+    for start in range(0, samples, _CHUNK):
+        k = min(_CHUNK, samples - start)
+        block = rng.uniforms(k * (span + nscalars)).reshape(k, span + nscalars)
+        drawn = points(block[:, :span].reshape(k * npoints, width))
+        drawn = drawn.reshape(k, npoints, -1)
+        scalars = block[:, span].tolist() if nscalars else [None] * k
+        for P, a in zip(drawn, scalars):
+            if cond == "smooth.1":
+                x, y = P
+                rhs = con["L"] * h.bregman(y, x)
+                if rhs < tiny:
+                    continue
+                ratio = _composite_bregman(instance, y, x) / rhs
+            elif cond == "relcont":
+                x, s = P
+                t = 1e-3 + a
+                g = instance.A.adjoint_apply(
+                    instance.f.subgradient(instance.A.apply(x)))
+                lhs = -t * float(g @ (s - x)) - h.bregman(s, x)
+                rhs = con["M"] * t * t / 2.0
+                ratio = lhs / rhs
+            elif cond == "smooth.2":
+                x, s, s_ = P
+                theta = a
+                rhs = con["L"] * theta ** con["gamma"] * h.bregman(s, s_)
+                if rhs < tiny:
+                    continue
+                u = (1.0 - theta) * x + theta * s
+                v = (1.0 - theta) * x + theta * s_
+                ratio = _composite_bregman(instance, u, v) / rhs
+            elif cond == "smooth.3":
+                x, s, s_ = P
+                theta = a
+                nu = con["nu"]
+                rhs = (2.0 * con["M"] * theta ** (1.0 + nu)
+                       * h.bregman(s, s_) ** ((1.0 + nu) / 2.0) / (1.0 + nu))
+                if rhs < tiny:
+                    continue
+                u = (1.0 - theta) * x + theta * s
+                v = (1.0 - theta) * x + theta * s_
+                ratio = _composite_bregman(instance, u, v) / rhs
+            else:  # curv.nu
+                x, s = P
+                theta = a
+                nu = con["nu"]
+                rhs = con["M"] * theta ** (1.0 + nu) / (1.0 + nu)
+                if rhs < tiny:
+                    continue
+                g = instance.f.subgradient(instance.A.apply(x))
+                ratio = segment_excess(instance, x, g, s, theta) / rhs
+            max_ratio = max(max_ratio, ratio)
 
     return {
         "instance": instance.name,
@@ -461,9 +553,31 @@ def verify_constants(instance, samples=1000, seed=12345, constants=None):
     }
 
 
+# A registered solve is accepted when its certified gap, a bound on
+# value - optimum, is at most this relative to max(1, |value|).
+REFERENCE_GAP_TOL = 1e-5
+
+
 def reference_optimum(instance, budget=20000):
-    """Optimal value and point: the registered optimum when present, else a
-    long checked run of the matching method (see methods.reference_run)."""
-    if instance.known_optimum is not None:
-        return instance.known_optimum
-    return methods.reference_run(instance, budget)
+    """Optimal value and point.
+
+    An instance with a registered solver (solve_optimum) solves on the
+    first call and keeps the result in instance.optimum.  The solve is
+    accepted only if its value is finite and its certified gap is at most
+    REFERENCE_GAP_TOL relative to max(1, |value|); otherwise, or when the
+    solver fails, ReferenceBracketError is raised.  Any other instance gets
+    a long reference run of the matching method (methods.reference_run, of
+    budget iterations).
+    """
+    if instance.solve_optimum is None:
+        return methods.reference_run(instance, budget)
+    if instance.optimum is None:
+        value, point, gap = instance.solve_optimum()
+        if not (math.isfinite(value)
+                and abs(gap) <= REFERENCE_GAP_TOL * max(1.0, abs(value))):
+            raise ReferenceBracketError(
+                "registered solve (%s): value %r with certified gap %r, "
+                "beyond %g relative" % (instance.name, value, gap,
+                                        REFERENCE_GAP_TOL))
+        instance.optimum = (value, point)
+    return instance.optimum

@@ -1,12 +1,17 @@
 """Step-size selection: schedules, the t <-> theta correspondence, r-large
 backtracking for the descent conditions, and the CG line search."""
 
-from .engine import propose, segment_ends, segment_excess
+from .engine import StepOutOfRange, propose, segment_ends, segment_excess
 from .prox import NotAdmissible
 from .reference import DomainError
 
 # The most grid points backtrack tries beyond its first, in either direction.
 MAX_GRID_STEPS = 60
+
+# The most backtrack lets the steps' sum T reach: the square root of the
+# float range, so that the weighted sums behind the certificate (T times an
+# oracle value or a gradient entry) stay finite wherever those are below it.
+T_MAX = 2.0 ** 512
 
 # Golden-section search: at most this many shrinks, down to this interval.
 _GOLDEN_MAX_ITERS = 64
@@ -43,21 +48,31 @@ def backtrack(state, instance, ysel, r, t, eps=0.0):
     next grid point's fails.  Returns the accepted trial.
 
     Raises BacktrackFailed when no grid point down to t / r^MAX_GRID_STEPS
-    is accepted.  The message names the last domain error when every trial
-    left the domain of h or Psi, and blames the declared smoothness
-    constants only when some trial failed the descent condition itself.
+    is accepted.  The message names the last error when every trial left
+    the domain of h or Psi, or every trial was out of range, and blames the
+    declared smoothness constants only when some trial failed the descent
+    condition itself.
     """
     if r <= 1.0:
         raise ValueError("backtracking ratio must exceed 1")
-    domain_errors = []
+    domain_errors, range_errors = [], []
 
     # A step leaving the reference function's domain (e.g. an entropy prox
-    # underflowing at the simplex boundary) counts as a failed condition.
+    # underflowing at the simplex boundary) counts as a failed condition,
+    # and so does a step out of range: one whose weight theta is not
+    # positive, or that takes T past T_MAX.
     def attempt(tc):
         try:
             trial = propose(state, instance, ysel, tc)
         except (DomainError, NotAdmissible) as exc:
             domain_errors.append(str(exc))
+            return None
+        except StepOutOfRange as exc:
+            range_errors.append(str(exc))
+            return None
+        if not state.T.total + tc <= T_MAX:
+            range_errors.append("step t = %g takes the steps' sum T past "
+                                "2**512" % tc)
             return None
         return trial if _condition_holds(trial, eps) else None
 
@@ -74,10 +89,11 @@ def backtrack(state, instance, ysel, r, t, eps=0.0):
         trial = attempt(t)
         if trial is not None:
             return trial
-    if len(domain_errors) == MAX_GRID_STEPS + 1:
-        raise BacktrackFailed(
-            "every trial step down to t = %g left the domain; the last: %s"
-            % (t, domain_errors[-1]))
+    for errors, what in ((domain_errors, "left the domain"),
+                         (range_errors, "was out of range")):
+        if len(errors) == MAX_GRID_STEPS + 1:
+            raise BacktrackFailed("every trial step down to t = %g %s; the "
+                                  "last: %s" % (t, what, errors[-1]))
     raise BacktrackFailed(
         "descent condition unsatisfied down to t = %g; the declared "
         "smoothness constants are likely wrong" % t)

@@ -3,6 +3,7 @@ import pytest
 
 from fomcert.linalg import LinearMap
 from fomcert.oracles import FEAS_TOL, INF, ProblemInstance, SmoothOracle, ZeroFunction
+from fomcert.problems import _MARGIN, reference_optimum
 from fomcert.prox import NotAdmissible
 from fomcert.reference import MIN_POSITIVE, DomainError, SquaredEuclidean
 
@@ -24,6 +25,57 @@ def quadratic_1d(start=1.0, curvature=1.0):
 @pytest.fixture
 def quad1d():
     return quadratic_1d()
+
+
+def registered_optimum(inst):
+    """The instance's registered optimum (value, point), solved and
+    certified on first use; None for an instance without a solver."""
+    return reference_optimum(inst) if inst.solve_optimum is not None else None
+
+
+def sample_point(inst, rng):
+    """The instance's next sample point from the SplitMix64 stream rng: one
+    row of the instance's block sampler."""
+    width, points = inst.sampler
+    return points(rng.uniforms(width).reshape(1, width))[0]
+
+
+def per_point_sampler(inst):
+    """The registry instance's sampler as one draw per point, r -> point,
+    in the arithmetic that its block sampler must reproduce bit for bit.
+    The data it reads come from the instance: the lasso scale is the block
+    sampler's point at u = 1."""
+    n = inst.A.in_dim
+    if inst.name == "simplex-quadratic":
+        def sample(r):
+            p = -np.log(np.maximum(r.uniforms(n), 1e-12))
+            p = p / p.sum()
+            return (p + 2 * _MARGIN) / (1.0 + 2 * _MARGIN * n)
+    elif inst.name == "lasso":
+        scale = float(inst.sampler.points(np.ones((1, n)))[0, 0])
+
+        def sample(r):
+            return scale * (2.0 * r.uniforms(n) - 1.0)
+    elif inst.name == "poisson-burg":
+        lo, hi = float(inst.psi.lo[0]), float(inst.psi.hi[0])
+
+        def sample(r):
+            return lo + _MARGIN + (hi - lo - 2 * _MARGIN) * r.uniforms(n)
+    elif inst.name in ("l1-regression", "holder"):
+        box = float(inst.psi.hi[0])
+
+        def sample(r):
+            return (box - _MARGIN) * (2.0 * r.uniforms(n) - 1.0)
+    elif inst.name == "cg-ball":
+        radius = inst.psi.radius
+
+        def sample(r):
+            y = r.normals(n)
+            target = radius * (1.0 - _MARGIN) * r.uniform()
+            return y * target / float(np.sum(np.abs(y)))
+    else:
+        raise KeyError(inst.name)
+    return sample
 
 
 def matrix_of(A):

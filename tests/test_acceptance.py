@@ -25,7 +25,13 @@ from fomcert.prox import prox_step
 from fomcert.reference import DomainError
 from fomcert.steprules import backtrack
 
-from conftest import maximal_t_sequence, optimality_residual, step_ratio_bound
+from conftest import (
+    maximal_t_sequence,
+    optimality_residual,
+    registered_optimum,
+    sample_point,
+    step_ratio_bound,
+)
 
 
 def _report(num, ok, detail):
@@ -51,7 +57,8 @@ def registry_runs():
     for name, config in specs:
         inst = make_instance(name, seed=0)
         key = (name, config.name, getattr(config, "schedule", ""))
-        runs[key] = (inst, run(inst, config, reference=inst.known_optimum))
+        runs[key] = (inst, run(inst, config,
+                                reference=registered_optimum(inst)))
     return runs
 
 
@@ -78,14 +85,14 @@ def lasso_runs_2k(lasso_reference):
 def l1reg_10k():
     inst = make_instance("l1-regression", seed=0)
     return inst, run(inst, ProxSubgradient(iterations=10000, C=1.0),
-                     reference=inst.known_optimum)
+                     reference=reference_optimum(inst))
 
 
 @pytest.fixture(scope="module")
 def holder_10k():
     inst = make_instance("holder", seed=0)
     config = UniversalGradient(iterations=10000, eps=1e-3)
-    return inst, config, run(inst, config, reference=inst.known_optimum)
+    return inst, config, run(inst, config, reference=reference_optimum(inst))
 
 
 def _all_traces(registry_runs, lasso_runs_2k, l1reg_10k, holder_10k):
@@ -161,7 +168,7 @@ def test_criterion_04_averaged_descent_bound(lasso_reference):
 
     def sampled(inst, count=3):
         r = SplitMix64(2024)
-        return [inst.sampler(r) for _ in range(count)]
+        return [sample_point(inst, r) for _ in range(count)]
 
     cases = [
         ("lasso", PROX_POINT, 0.0,
@@ -173,7 +180,7 @@ def test_criterion_04_averaged_descent_bound(lasso_reference):
         ("poisson-burg", PROX_POINT, 0.0,
          lambda inst: sampled(inst)),
         ("holder", FAST_COMBO, 1e-3,
-         lambda inst: [inst.known_optimum[1]] + sampled(inst)),
+         lambda inst: [reference_optimum(inst)[1]] + sampled(inst)),
     ]
     worst = -np.inf
     for name, ysel, eps, refs in cases:
@@ -217,7 +224,7 @@ def test_criterion_06_prox_gradient_rate(lasso_reference, lasso_runs_2k):
 
 def test_criterion_07_prox_subgradient_rate(l1reg_10k):
     inst, trace = l1reg_10k
-    value, point = inst.known_optimum
+    value, point = reference_optimum(inst)
     K = 10000
     Dh0 = inst.h.bregman(point, inst.feasible_start)
     M = inst.constants["M"]
@@ -247,7 +254,7 @@ def test_criterion_08_fast_gradient_rate(lasso_reference, lasso_runs_2k):
 
 def test_criterion_09_universal_rate(holder_10k):
     inst, config, trace = holder_10k
-    value, point = inst.known_optimum
+    value, point = reference_optimum(inst)
     Dh0 = inst.h.bregman(point, inst.feasible_start)
     bound = rate_bound(config, inst, 10000, Dh0)
     subopt = trace.final.primal - inst.primal_value(point)
@@ -281,7 +288,7 @@ def test_criterion_11_oracle_correctness():
         # condition class but relative continuity.
         if inst.condition != "relcont":
             for _ in range(10):
-                y = inst.A.apply(inst.sampler(r))
+                y = inst.A.apply(sample_point(inst, r))
                 g = inst.f.subgradient(y)
                 for i in range(y.size):
                     e = np.zeros(y.size)
@@ -293,7 +300,7 @@ def test_criterion_11_oracle_correctness():
         if not inst.zero_reference:
             count = 0
             while count < 100:
-                s_prev = inst.sampler(r)
+                s_prev = sample_point(inst, r)
                 c = np.array([r.normal() for _ in range(s_prev.size)])
                 t = 0.01 + r.uniform()
                 try:
@@ -305,7 +312,7 @@ def test_criterion_11_oracle_correctness():
                 count += 1
             # Three-point identity for the instance's reference function.
             for _ in range(50):
-                s, z, w = (inst.sampler(r) for _ in range(3))
+                s, z, w = (sample_point(inst, r) for _ in range(3))
                 lhs = float((inst.h.gradient(z) - inst.h.gradient(w))
                             @ (s - z))
                 rhs = (inst.h.bregman(s, w) - inst.h.bregman(s, z)

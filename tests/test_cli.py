@@ -466,3 +466,57 @@ def test_read_csv_rejects_wrong_header(tmp_path):
         fh.write("k,t,wrong\n1,2,3\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("schedule", ["theta", "linesearch"])
+def test_cg_ball_trace_bytes_do_not_read_the_reference(tmp_path, schedule):
+    # The CG bound is on the gap and needs no optimum, so the default
+    # reference (cg-ball registers a solver) changes summary.json only.
+    method = {"name": "conditional_subgradient", "schedule": schedule}
+    traces = {}
+    for reference in (False, None):
+        extra = {} if reference is None else {"reference": reference}
+        cfgpath = _write_config(tmp_path / "cfg.json",
+                                instance={"name": "cg-ball", "seed": 0},
+                                method=method, iterations=100, **extra)
+        out = tmp_path / str(reference)
+        assert cli.main(["run", "--config", str(cfgpath),
+                         "--out", str(out)]) == 0
+        traces[reference] = (out / "trace.csv").read_bytes()
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh)
+        assert ("reference_value" in summary) == (reference is None)
+    assert traces[False] == traces[None]
+
+
+@pytest.mark.parametrize("instance,method,codes,prefix", [
+    # The optimum is the start point, so every trial passes and the upward
+    # probe grows t until the steps' sum T would overflow.
+    ({"name": "simplex-quadratic", "params": {"n": 1}},
+     {"name": "prox_gradient"}, (0, 2), "run aborted: "),
+    ({"name": "lasso", "params": {"lam": 1e6}},
+     {"name": "prox_gradient"}, (0, 2), "run aborted: "),
+    # (2 radius)^2 in the curvature constant overflows.
+    ({"name": "cg-ball", "params": {"radius": 1e300}},
+     {"name": "conditional_subgradient"}, (1,),
+     "config error: a declared constant of cg-ball overflows"),
+    # (2 radius)^2 underflows to a curvature constant of 0.
+    ({"name": "cg-ball", "params": {"radius": 1e-300}},
+     {"name": "conditional_subgradient"}, (1,),
+     "config error: the declared constant M must be a finite number > 0"),
+    # linprog fails on the box.
+    ({"name": "l1-regression", "params": {"box": 1e300}},
+     {"name": "prox_subgradient"}, (2,), "reference error: linprog failed"),
+], ids=["simplex-n1", "lasso-lam1e6", "cg-ball-radius1e300",
+        "cg-ball-radius1e-300", "l1-regression-box1e300"])
+def test_degenerate_config_exits_without_traceback(tmp_path, capsys, instance,
+                                                   method, codes, prefix):
+    cfgpath = _write_config(tmp_path / "cfg.json", instance=instance,
+                            method=method, iterations=60, reference=True,
+                            reference_budget=60)
+    code = cli.main(["run", "--config", str(cfgpath),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code in codes, err
+    assert len(err) == (code != 0), err
+    assert all(line.startswith(prefix) for line in err), err

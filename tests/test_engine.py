@@ -17,7 +17,12 @@ from fomcert.engine import (
 )
 from fomcert.problems import REGISTRY_NAMES, SplitMix64, make_instance
 
-from conftest import combination_excess, quadratic_1d, segment_excess_unhoisted
+from conftest import (
+    combination_excess,
+    quadratic_1d,
+    sample_point,
+    segment_excess_unhoisted,
+)
 
 
 def iterate(state, instance, ysel, t):
@@ -141,12 +146,11 @@ def test_combination_excess_reduces_to_segment_excess_at_y_equals_x():
 
 def test_segment_excess_nonnegative_on_curvature_instance():
     inst = make_instance("cg-ball", seed=0)
-    sample = inst.sampler
     from fomcert.problems import SplitMix64
     r = SplitMix64(99)
     for _ in range(50):
-        x = sample(r)
-        s = sample(r)
+        x = sample_point(inst, r)
+        s = sample_point(inst, r)
         theta = r.uniform()
         g = inst.f.subgradient(inst.A.apply(x))
         assert segment_excess(inst, x, g, s, theta) >= -1e-12
@@ -158,7 +162,7 @@ def test_segment_excess_with_ends_is_bitwise_unhoisted(name):
     inst = make_instance(name, seed=3)
     r = SplitMix64(17)
     for _ in range(10):
-        x, s = inst.sampler(r), inst.sampler(r)
+        x, s = sample_point(inst, r), sample_point(inst, r)
         g = inst.f.subgradient(inst.A.apply(x))
         ends = segment_ends(inst, x, g, s)
         for theta in (0.0, 1.0, 0.5, 1e-9, 0.381966011250105, r.uniform()):

@@ -28,7 +28,7 @@ from fomcert.problems import make_instance
 from fomcert.prox import UnsupportedPair, prox_step
 from fomcert.trace import Trace
 
-from conftest import quadratic_1d
+from conftest import quadratic_1d, registered_optimum
 from test_golden_traces import RUNS
 
 
@@ -170,7 +170,7 @@ def test_short_runs_produce_no_violations():
     ]
     for name, config in cases:
         inst = make_instance(name, seed=0)
-        ref = inst.known_optimum
+        ref = registered_optimum(inst)
         trace = run(inst, config, reference=ref)
         assert trace.violations == [], (name, config.name, trace.violations[:3])
         assert len(trace.rows) == 150
@@ -280,8 +280,9 @@ _CERT_COLUMNS = ("primal", "dual_surrogate", "gap", "delta", "thm1_residual",
 @pytest.mark.parametrize("name,config", _registry_configs(40))
 def test_unchecked_run_certifies_only_the_final_iterate(name, config):
     inst = make_instance(name, seed=0)
-    checked = run(inst, config, reference=inst.known_optimum)
-    unchecked = run(inst, config, reference=inst.known_optimum, check=False)
+    ref = registered_optimum(inst)
+    checked = run(inst, config, reference=ref)
+    unchecked = run(inst, config, reference=ref, check=False)
     assert len(unchecked.rows) == len(checked.rows) == config.iterations
     for a, b in zip(checked.rows, unchecked.rows):
         assert [getattr(a, f) for f in _ROW_ONLY] == [getattr(b, f) for f in _ROW_ONLY]

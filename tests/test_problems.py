@@ -1,11 +1,17 @@
 import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
-from fomcert import run
+from fomcert import cli, run
 from fomcert.linalg import LinearMap
-from fomcert.methods import ConditionalSubgradient, ProxGradient
+from fomcert.methods import (
+    ConditionalSubgradient,
+    ProxGradient,
+    ReferenceBracketError,
+)
 from fomcert.oracles import (
     L1BallIndicator,
     L1Norm,
@@ -22,7 +28,7 @@ from fomcert.problems import (
 )
 from fomcert.reference import Entropy, SquaredEuclidean, ZeroReference
 
-from conftest import matrix_of
+from conftest import matrix_of, per_point_sampler
 
 ALL_NAMES = list(REGISTRY_NAMES)
 
@@ -209,17 +215,86 @@ def test_cg_interior_minimizer_example():
 
 def test_known_optima_registered():
     l1 = make_instance("l1-regression", seed=0)
-    value, point = l1.known_optimum
+    value, point = reference_optimum(l1)
     assert np.isfinite(value) and point.shape == l1.feasible_start.shape
     assert abs(l1.primal_value(point) - value) <= 1e-9 * max(1.0, value)
     hol = make_instance("holder", seed=0)
-    value, point = hol.known_optimum
+    value, point = reference_optimum(hol)
     assert abs(hol.primal_value(point) - value) <= 1e-9 * max(1.0, value)
 
 
 def test_reference_optimum_known_passthrough():
+    # The registered solver runs on the first call only; later calls return
+    # the kept result.
     inst = make_instance("l1-regression", seed=0)
-    assert reference_optimum(inst) == inst.known_optimum
+    calls = []
+    solve = inst.solve_optimum
+    inst.solve_optimum = lambda: calls.append(1) or solve()
+    first = reference_optimum(inst)
+    assert reference_optimum(inst) is first is inst.optimum
+    assert len(calls) == 1
+
+
+def test_make_instance_runs_no_solve(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_instance ran a scipy solve")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    for name in ALL_NAMES:
+        inst = make_instance(name, seed=0)
+        assert inst.optimum is None
+        assert (inst.solve_optimum is not None) == (
+            name in ("l1-regression", "holder", "cg-ball"))
+
+
+@pytest.mark.parametrize("seed", [0, 91])
+def test_cg_ball_reference_is_certified_by_its_frank_wolfe_gap(seed):
+    inst = make_instance("cg-ball", seed=seed)
+    value, x = reference_optimum(inst)
+    g = inst.f.subgradient(inst.A.apply(x))
+    gap = float(g @ x) + inst.psi.radius * float(np.max(np.abs(g)))
+    assert value == inst.primal_value(x)
+    assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("gap", [1e-3, float("nan"), float("inf"), -1e-3])
+def test_reference_optimum_rejects_an_uncertified_solve(gap):
+    inst = make_instance("cg-ball", seed=0)
+    inst.solve_optimum = lambda: (0.5, inst.feasible_start, gap)
+    with pytest.raises(ReferenceBracketError):
+        reference_optimum(inst)
+    assert inst.optimum is None
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_block_sampler_matches_per_point_draws(name):
+    inst = make_instance(name, seed=5)
+    width, points = inst.sampler
+    sample = per_point_sampler(inst)
+    for k in (1, 2, 64, 65):
+        block_rng, point_rng = SplitMix64(31 + k), SplitMix64(31 + k)
+        block = points(block_rng.uniforms(k * width).reshape(k, width))
+        want = np.array([sample(point_rng) for _ in range(k)])
+        assert block.shape == want.shape == (k, inst.A.in_dim)
+        assert block.tobytes() == want.tobytes()
+        assert block_rng.state == point_rng.state
+
+
+with open(os.path.join(os.path.dirname(__file__), "verify_golden.json")) as _fh:
+    VERIFY_GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("key", sorted(VERIFY_GOLDEN))
+def test_verify_report_matches_golden(capsys, key):
+    # `fomcert verify` at its default 10,000 samples; JSON floats round-trip
+    # exactly, so equal reports have equal bits.
+    name, seed = key.split(":")
+    code = cli.main(["verify", "--instance", name, "--seed", seed])
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == VERIFY_GOLDEN[key]
 
 
 def test_reference_optimum_by_long_run():

@@ -18,6 +18,7 @@ from fomcert.steprules import (
 from conftest import (
     maximal_t_sequence,
     quadratic_1d,
+    sample_point,
     segment_excess_unhoisted,
     step_ratio_bound,
 )
@@ -115,6 +116,29 @@ def test_backtrack_failure_diagnostic():
         backtrack(EngineState(inst), inst, PROX_POINT, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("T,t", [(1.7e308, 1.7e308), (0.0, float("inf")),
+                                 (1.0, float("nan"))])
+def test_propose_rejects_a_step_without_positive_weight(quad1d, T, t):
+    state = EngineState(quad1d)
+    state.T.add(T)
+    with pytest.raises(engine.StepOutOfRange):
+        propose(state, quad1d, PROX_POINT, t)
+
+
+def test_backtrack_keeps_the_step_sum_below_t_max(quad1d):
+    # Every trial passes the descent condition on the quadratic with L = 1
+    # from the optimum, so only T_MAX stops the upward probe.
+    quad1d.feasible_start[:] = 0.0
+    state = EngineState(quad1d)
+    state.T.add(steprules.T_MAX / 4.0)
+    trial = backtrack(state, quad1d, PROX_POINT, 2.0, steprules.T_MAX / 8.0)
+    assert trial.t == steprules.T_MAX / 2.0
+    assert state.T.total + trial.t <= steprules.T_MAX
+    state.T.add(steprules.T_MAX)
+    with pytest.raises(BacktrackFailed, match="was out of range"):
+        backtrack(state, quad1d, PROX_POINT, 2.0, 1.0)
+
+
 def test_backtrack_survives_domain_failures_on_probes():
     # Entropy prox underflows for huge trial steps; the probe must count as
     # a failed condition instead of aborting the run.
@@ -182,10 +206,10 @@ def _cg_ball_segments(count):
     inst = make_instance("cg-ball", seed=0)
     r = SplitMix64(5)
     for i in range(count):
-        x = inst.sampler(r)
+        x = sample_point(inst, r)
         g = inst.f.subgradient(inst.A.apply(x))
         s = (inst.psi.linmin(inst.A.adjoint_apply(g)) if i % 2
-             else inst.sampler(r))
+             else sample_point(inst, r))
         yield inst, x, g, s, (0.0, 1e-6, 0.3, 5.0)[i % 4]
 
 
