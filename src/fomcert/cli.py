@@ -205,7 +205,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # A non-finite value fails closed as a violation or an aborted run, so
+    # numpy's floating-point warnings would only add stderr lines.
+    with np.errstate(all="ignore"):
+        return args.func(args)
 
 
 def main_script():

@@ -12,10 +12,6 @@ PROX_POINT = "prox_point"          # y_k = s_{k-1}
 CURRENT_AVERAGE = "current_average"  # y_k = x_k
 FAST_COMBO = "fast_combo"          # y_k = (1-theta_k) x_k + theta_k s_{k-1}
 
-# Residual tolerance: relative 1e-8 with absolute floor 1e-10.
-RESIDUAL_RTOL = 1e-8
-RESIDUAL_ATOL = 1e-10
-
 
 class InfeasibleStart(ValueError):
     pass
@@ -101,35 +97,29 @@ class EngineState:
         self.y_side = {}
 
 
+@dataclass(slots=True, eq=False)
 class TrialStep:
     """A fully solved candidate iteration, not yet committed to the state."""
 
-    __slots__ = ("t", "theta", "y", "g", "c", "s", "g_psi",
-                 "Ay", "fAy", "psi_y", "As", "fAs", "psi_s",
-                 "Dh", "excess", "sgrad_term", "x_comb", "Ax_comb", "F_comb")
-
-    def __init__(self, t, theta, y, g, c, s, g_psi, Ay, fAy, psi_y,
-                 As, fAs, psi_s, Dh, excess, sgrad_term, x_comb, Ax_comb,
-                 F_comb):
-        self.t = t
-        self.theta = theta
-        self.y = y
-        self.g = g
-        self.c = c
-        self.s = s
-        self.g_psi = g_psi
-        self.Ay = Ay
-        self.fAy = fAy
-        self.psi_y = psi_y
-        self.As = As
-        self.fAs = fAs
-        self.psi_s = psi_s
-        self.Dh = Dh
-        self.excess = excess
-        self.sgrad_term = sgrad_term
-        self.x_comb = x_comb
-        self.Ax_comb = Ax_comb
-        self.F_comb = F_comb
+    t: float
+    theta: float
+    y: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    g_psi: np.ndarray
+    Ay: np.ndarray
+    fAy: float
+    psi_y: float
+    As: np.ndarray
+    fAs: float
+    psi_s: float
+    Dh: float
+    excess: float
+    sgrad_term: float
+    x_comb: np.ndarray
+    Ax_comb: np.ndarray
+    F_comb: float
 
 
 def _y_side(instance, y, image=None):

@@ -32,7 +32,8 @@ class IncompatibleConfig(ConfigError):
 class ReferenceBracketError(ValueError):
     """A reference optimum that is not certified: a reference run whose
     final certificate does not bracket the optimum, or a registered solve
-    that failed or whose certified gap is not finite and small."""
+    that failed or whose Fenchel gap (ProblemInstance.fenchel_gap at the
+    solver's dual point) is not finite and small."""
 
 
 def check_number(value, what, lower, strict=False):

@@ -135,8 +135,8 @@ class ProblemInstance:
     h: ReferenceFunction
     feasible_start: np.ndarray
     constants: dict = field(default_factory=dict)
-    # () -> (value, point, gap) from a solver independent of the engine,
-    # with gap a certified bound on value - optimum; reference_optimum in
+    # () -> (point, u) from a solver independent of the engine, with u a
+    # dual point for fenchel_gap (None: f'(A point)); reference_optimum in
     # problems calls it once and keeps (value, point) as optimum.
     solve_optimum: Optional[Callable] = None
     optimum: Optional[tuple] = None
@@ -149,3 +149,11 @@ class ProblemInstance:
 
     def primal_value(self, x):
         return self.f.value(self.A.apply(x)) + self.psi.value(x)
+
+    def fenchel_gap(self, x, u=None):
+        """F(x) + f*(u) + Psi*(-A*u), which bounds F(x) - min F for every
+        dual point u by weak Fenchel duality; u = None means f'(Ax)."""
+        if u is None:
+            u = self.f.subgradient(self.A.apply(x))
+        return (self.primal_value(x) + self.f.conjugate(u)
+                + self.psi.conjugate(-self.A.adjoint_apply(u)))

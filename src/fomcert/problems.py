@@ -43,22 +43,15 @@ _U_30, _U_27, _U_31, _U_11 = (np.uint64(b) for b in (30, 27, 31, 11))
 class SplitMix64:
     """Seeded 64-bit generator; fixed algorithm for reproducibility.
 
-    SplitMix64 (Steele, Lea & Flood 2014) is counter-based: output i after
-    state s is mix(s + i * gamma mod 2**64).  So the block methods u64s,
-    uniforms and normals compute n outputs at once in numpy and return
-    exactly what n scalar calls would, in order, leaving state where those
-    calls would leave it.
+    SplitMix64 (Steele, Lea & Flood 2014) is counter-based: its scalar
+    draw next_u64 adds gamma to the state mod 2**64 and outputs
+    mix(state).  The block methods u64s, uniforms and normals return
+    exactly what n scalar draws (next_u64, uniform, normal) would, in
+    order, leaving state where those draws would leave it.
     """
 
     def __init__(self, seed):
         self.state = seed & _MASK
-
-    def next_u64(self):
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
 
     def u64s(self, n):
         """The next n outputs of next_u64 as a uint64 array.
@@ -79,21 +72,14 @@ class SplitMix64:
         z ^= z >> _U_31
         return z
 
-    def uniform(self):
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def uniforms(self, n):
-        """The next n values of uniform, as one block."""
+        """The next n values of uniform, (next_u64 >> 11) * 2**-53."""
         return (self.u64s(n) >> _U_11) * (2.0 ** -53)
 
-    def normal(self):
-        # Box-Muller; discard the second variate for simplicity.
-        u1 = max(self.uniform(), 1e-300)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def normals(self, n):
-        """The next n values of normal, from one block of 2n uniforms.
+        """The next n values of normal, the Box-Muller variate
+        sqrt(-2 log max(u1, 1e-300)) cos(2 pi u2) of two uniforms, from
+        one block of 2n uniforms.
 
         log and cos go through math per element: numpy's SIMD log and cos
         may differ from libm in the last bit (3,517 of a million log values
@@ -106,8 +92,8 @@ class SplitMix64:
 
 
 def _box_muller(u1, u2):
-    """SplitMix64.normal's variates for equal-shaped arrays of its two
-    uniforms u1 and u2, with log and cos per element through math."""
+    """The variates of SplitMix64.normals for equal-shaped arrays of their
+    two uniforms u1 and u2, with log and cos per element through math."""
     size = u1.size
     logs = np.fromiter(map(math.log, np.maximum(u1, 1e-300).ravel().tolist()),
                        np.float64, size)
@@ -263,14 +249,10 @@ def _l1_regression_optimum(B, b, box):
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.x is None:
         raise ReferenceBracketError("linprog failed: %s" % res.message)
-    x = res.x[:n]
-    value = float(np.sum(np.abs(B @ x - b)))
-    # The multipliers of Bx - r <= b and -Bx - r <= -b give a point u of the
-    # Fenchel dual max over |u|_inf <= 1 of -u'b - box |B'u|_1.
+    # The multipliers of Bx - r <= b and -Bx - r <= -b, clipped into
+    # dom f* = {|u|_inf <= 1}, give the dual point.
     marginals = res.ineqlin.marginals
-    u = np.clip(marginals[m:] - marginals[:m], -1.0, 1.0)
-    dual = -float(u @ b) - box * float(np.abs(B.T @ u).sum())
-    return value, x, value - dual
+    return res.x[:n], np.clip(marginals[m:] - marginals[:m], -1.0, 1.0)
 
 
 def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
@@ -323,10 +305,7 @@ def _holder_optimum(B, b, nu, box, n):
     res = minimize(fun, np.zeros(n), jac=True, method="L-BFGS-B",
                    bounds=[(-box, box)] * n,
                    options={"maxiter": 5000, "ftol": 1e-16, "gtol": 1e-12})
-    # The Frank-Wolfe gap max over the box of <grad, x - v>.
-    _, grad = fun(res.x)
-    gap = float(grad @ res.x) + box * float(np.abs(grad).sum())
-    return float(res.fun), res.x, gap
+    return res.x, None
 
 
 def _make_cg_ball(rng, n=10, radius=1.0):
@@ -357,8 +336,9 @@ def _make_cg_ball(rng, n=10, radius=1.0):
 
 def _cg_ball_optimum(Q, q, radius):
     """min 0.5 x'Qx + q'x over |x|_1 <= radius by SLSQP on x = p - p' with
-    p, p' >= 0 and sum(p + p') <= radius.  The gap is the Frank-Wolfe gap
-    <g, x> + radius |g|_inf at g = Qx + q (Jaggi, 2013)."""
+    p, p' >= 0 and sum(p + p') <= radius, scaled back into the ball.  At
+    u = Qx + q the Fenchel gap is the Frank-Wolfe gap <u, x> + radius
+    |u|_inf (Jaggi, 2013)."""
     from scipy.optimize import minimize
     n = q.size
 
@@ -376,9 +356,7 @@ def _cg_ball_optimum(Q, q, radius):
     norm = float(np.abs(x).sum())
     if norm > radius:  # the gap bounds the optimum only from a feasible x
         x *= radius / norm
-    g = Q @ x + q
-    value = 0.5 * float(x @ (Q @ x)) + float(q @ x)
-    return value, x, float(g @ x) + radius * float(np.abs(g).max())
+    return x, None
 
 
 _REGISTRY = {
@@ -553,7 +531,7 @@ def verify_constants(instance, samples=1000, seed=12345, constants=None):
     }
 
 
-# A registered solve is accepted when its certified gap, a bound on
+# A registered solve is accepted when its Fenchel gap, a bound on
 # value - optimum, is at most this relative to max(1, |value|).
 REFERENCE_GAP_TOL = 1e-5
 
@@ -563,20 +541,23 @@ def reference_optimum(instance, budget=20000):
 
     An instance with a registered solver (solve_optimum) solves on the
     first call and keeps the result in instance.optimum.  The solve is
-    accepted only if its value is finite and its certified gap is at most
-    REFERENCE_GAP_TOL relative to max(1, |value|); otherwise, or when the
-    solver fails, ReferenceBracketError is raised.  Any other instance gets
-    a long reference run of the matching method (methods.reference_run, of
-    budget iterations).
+    accepted only if its value F(point) is finite and its Fenchel gap
+    instance.fenchel_gap(point, u), at the dual point u the solver returns,
+    is at most REFERENCE_GAP_TOL relative to max(1, |value|); otherwise, or
+    when the solver fails, ReferenceBracketError is raised.  Any other
+    instance gets a long reference run of the matching method
+    (methods.reference_run, of budget iterations).
     """
     if instance.solve_optimum is None:
         return methods.reference_run(instance, budget)
     if instance.optimum is None:
-        value, point, gap = instance.solve_optimum()
+        point, u = instance.solve_optimum()
+        value = instance.primal_value(point)
+        gap = instance.fenchel_gap(point, u)
         if not (math.isfinite(value)
                 and abs(gap) <= REFERENCE_GAP_TOL * max(1.0, abs(value))):
             raise ReferenceBracketError(
-                "registered solve (%s): value %r with certified gap %r, "
+                "registered solve (%s): value %r with Fenchel gap %r, "
                 "beyond %g relative" % (instance.name, value, gap,
                                         REFERENCE_GAP_TOL))
         instance.optimum = (value, point)

@@ -1,11 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
 from fomcert.linalg import LinearMap
 from fomcert.oracles import FEAS_TOL, INF, ProblemInstance, SmoothOracle, ZeroFunction
-from fomcert.problems import _MARGIN, reference_optimum
+from fomcert.problems import _GAMMA, _MARGIN, _MASK, SplitMix64, reference_optimum
 from fomcert.prox import NotAdmissible
 from fomcert.reference import MIN_POSITIVE, DomainError, SquaredEuclidean
+
+
+class ScalarSplitMix64(SplitMix64):
+    """SplitMix64 with its scalar draws, one value per call: the stream that
+    the block methods u64s, uniforms and normals must reproduce."""
+
+    def next_u64(self):
+        self.state = (self.state + _GAMMA) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return (z ^ (z >> 31)) & _MASK
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def normal(self):
+        # Box-Muller; discard the second variate for simplicity.
+        u1 = max(self.uniform(), 1e-300)
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def quadratic_1d(start=1.0, curvature=1.0):

@@ -26,6 +26,7 @@ from fomcert.reference import DomainError
 from fomcert.steprules import backtrack
 
 from conftest import (
+    ScalarSplitMix64,
     maximal_t_sequence,
     optimality_residual,
     registered_optimum,
@@ -283,7 +284,7 @@ def test_criterion_11_oracle_correctness():
     three_worst = 0.0
     for name in names:
         inst = make_instance(name, seed=0)
-        r = SplitMix64(777)
+        r = ScalarSplitMix64(777)
         # Finite-difference agreement where f is differentiable: every
         # condition class but relative continuity.
         if inst.condition != "relcont":

@@ -369,6 +369,20 @@ def test_module_entry_point_bad_config_exits_1(tmp_path):
     assert line.startswith("config error: cannot read config"), line
 
 
+def test_module_entry_point_overflowing_step_prints_one_line(tmp_path):
+    # t * c overflows in the box prox before the step's weight does; no
+    # floating-point warning of numpy's may reach stderr.
+    cfgpath = _write_config(tmp_path / "cfg.json",
+                            instance={"name": "l1-regression", "seed": 0},
+                            method={"name": "prox_subgradient", "C": 1.7e308},
+                            iterations=60)
+    done = _module_cli("run", "--config", str(cfgpath),
+                       "--out", str(tmp_path / "out"))
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("run aborted: "), line
+
+
 def _lasso_L():
     from fomcert.problems import make_instance
     return make_instance("lasso", seed=0).constants["L"]

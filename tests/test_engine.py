@@ -15,9 +15,10 @@ from fomcert.engine import (
     segment_ends,
     segment_excess,
 )
-from fomcert.problems import REGISTRY_NAMES, SplitMix64, make_instance
+from fomcert.problems import REGISTRY_NAMES, make_instance
 
 from conftest import (
+    ScalarSplitMix64,
     combination_excess,
     quadratic_1d,
     sample_point,
@@ -146,8 +147,7 @@ def test_combination_excess_reduces_to_segment_excess_at_y_equals_x():
 
 def test_segment_excess_nonnegative_on_curvature_instance():
     inst = make_instance("cg-ball", seed=0)
-    from fomcert.problems import SplitMix64
-    r = SplitMix64(99)
+    r = ScalarSplitMix64(99)
     for _ in range(50):
         x = sample_point(inst, r)
         s = sample_point(inst, r)
@@ -160,7 +160,7 @@ def test_segment_excess_nonnegative_on_curvature_instance():
 def test_segment_excess_with_ends_is_bitwise_unhoisted(name):
     # cg-ball: identity map, l1-ball indicator Psi; lasso: dense map, l1 Psi.
     inst = make_instance(name, seed=3)
-    r = SplitMix64(17)
+    r = ScalarSplitMix64(17)
     for _ in range(10):
         x, s = sample_point(inst, r), sample_point(inst, r)
         g = inst.f.subgradient(inst.A.apply(x))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -28,7 +29,7 @@ from fomcert.problems import (
 )
 from fomcert.reference import Entropy, SquaredEuclidean, ZeroReference
 
-from conftest import matrix_of, per_point_sampler
+from conftest import ScalarSplitMix64, matrix_of, per_point_sampler
 
 ALL_NAMES = list(REGISTRY_NAMES)
 
@@ -42,12 +43,12 @@ def test_registry_names():
 
 def test_splitmix64_reference_vector():
     # Published first output for seed 0 (xoshiro test-vector generator).
-    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+    assert ScalarSplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
 
 
 def test_splitmix64_streams():
-    a = SplitMix64(42)
-    b = SplitMix64(42)
+    a = ScalarSplitMix64(42)
+    b = ScalarSplitMix64(42)
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
     r = SplitMix64(7)
     us = r.uniforms(1000)
@@ -70,7 +71,7 @@ def _scalar_block(r, method, n):
 def test_block_draws_equal_scalar_stream(seed, n):
     # Blocks and scalar calls interleaved on one generator, against the
     # same calls made one value at a time on a twin.
-    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    block, scalar = ScalarSplitMix64(seed), ScalarSplitMix64(seed)
     for method in ("u64s", "uniforms", "normals", "normals", "u64s"):
         assert block.uniform() == scalar.uniform()
         got = getattr(block, method)(n)
@@ -260,13 +261,80 @@ def test_cg_ball_reference_is_certified_by_its_frank_wolfe_gap(seed):
     assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
 
 
-@pytest.mark.parametrize("gap", [1e-3, float("nan"), float("inf"), -1e-3])
-def test_reference_optimum_rejects_an_uncertified_solve(gap):
-    inst = make_instance("cg-ball", seed=0)
-    inst.solve_optimum = lambda: (0.5, inst.feasible_start, gap)
+@pytest.mark.parametrize("case", ["nan-dual", "dual-outside-dom",
+                                  "feasible-start"])
+def test_reference_optimum_rejects_an_uncertified_solve(case):
+    # The LP's point with a NaN dual point (a NaN gap) or with one outside
+    # dom f*, |u|_inf <= 1 (an infinite gap); or the start point, whose gap
+    # at u = f'(Ax) is finite but far above the tolerance.
+    inst = make_instance("l1-regression", seed=0)
+    point, u = inst.solve_optimum()
+    if case == "nan-dual":
+        u = np.full_like(u, np.nan)
+    elif case == "dual-outside-dom":
+        u = u.copy()
+        u[0] = 1.5
+    else:
+        point, u = inst.feasible_start, None
+    gap = inst.fenchel_gap(point, u)
+    assert {"nan-dual": math.isnan(gap), "dual-outside-dom": gap == math.inf,
+            "feasible-start": 1e-3 < gap < math.inf}[case], gap
+    inst.solve_optimum = lambda: (point, u)
     with pytest.raises(ReferenceBracketError):
         reference_optimum(inst)
     assert inst.optimum is None
+
+
+REGISTERED_NAMES = ["l1-regression", "holder", "cg-ball"]
+
+
+@pytest.mark.parametrize("seed", [0, 91])
+@pytest.mark.parametrize("name", REGISTERED_NAMES)
+def test_reference_optimum_rejects_a_shifted_conjugate(name, seed):
+    # The Fenchel gap reads the instance's f*, so a conjugate oracle that is
+    # off by a constant moves the gap by that constant.
+    for shift in (1e-3, -1e-3, 1e-4, -1e-4):
+        inst = make_instance(name, seed=seed)
+        conjugate = inst.f.conjugate
+        inst.f.conjugate = lambda u: conjugate(u) + shift
+        with pytest.raises(ReferenceBracketError):
+            reference_optimum(inst)
+        assert inst.optimum is None
+
+
+def _l1_regression_data(seed, n=10, m=20, box=1.0):
+    """B and b of make_instance("l1-regression", seed), drawn again."""
+    rng = SplitMix64(seed)
+    B = np.array([rng.normals(n) for _ in range(m)])
+    x_true = box * (2.0 * rng.uniforms(n) - 1.0)
+    return B, B @ x_true + 0.1 * rng.normals(m)
+
+
+@pytest.mark.parametrize("name", REGISTERED_NAMES)
+def test_registered_gap_is_each_solvers_own_formula(name):
+    # The gap each solver computed for itself: value minus the LP dual
+    # -u'b - box |B'u|_1 for l1-regression (box 1), and the Frank-Wolfe gap
+    # max over feasible v of <grad, x - v> on the box (holder) and the l1
+    # ball (cg-ball) (Jaggi, 2013).
+    for seed in range(20):
+        inst = make_instance(name, seed=seed)
+        x, u = inst.solve_optimum()
+        value = inst.primal_value(x)
+        if name == "l1-regression":
+            B, b = _l1_regression_data(seed)
+            assert B.tobytes() == matrix_of(inst.A).tobytes()
+            assert inst.f.value(b) == 0.0
+            want = value + float(u @ b) + float(np.abs(B.T @ u).sum())
+        else:
+            grad = inst.A.adjoint_apply(inst.f.subgradient(inst.A.apply(x)))
+            if name == "holder":
+                box = float(inst.psi.hi[0])
+                want = float(grad @ x) + box * float(np.abs(grad).sum())
+            else:
+                want = (float(grad @ x)
+                        + inst.psi.radius * float(np.abs(grad).max()))
+        got = inst.fenchel_gap(x, u)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(value)), (seed, got, want)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -275,7 +343,7 @@ def test_block_sampler_matches_per_point_draws(name):
     width, points = inst.sampler
     sample = per_point_sampler(inst)
     for k in (1, 2, 64, 65):
-        block_rng, point_rng = SplitMix64(31 + k), SplitMix64(31 + k)
+        block_rng, point_rng = SplitMix64(31 + k), ScalarSplitMix64(31 + k)
         block = points(block_rng.uniforms(k * width).reshape(k, width))
         want = np.array([sample(point_rng) for _ in range(k)])
         assert block.shape == want.shape == (k, inst.A.in_dim)
