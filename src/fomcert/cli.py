@@ -27,28 +27,48 @@ def config_from_dict(spec, iterations):
     return method.from_spec(spec, iterations)
 
 
+# The keys a run config reads, at its top level and in its instance object.
+_RUN_KEYS = ("instance", "method", "iterations", "reference",
+             "reference_budget", "tolerance", "out")
+_INSTANCE_KEYS = ("name", "seed", "params", "constants")
+
+
+def _check_object(value, what, keys=()):
+    """Reject a value that is not a JSON object or has a key outside keys."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be an object, got %r" % (what, value))
+    for key in value:
+        if keys and key not in keys:
+            raise ConfigError("%s is not a %s key (it reads %s)"
+                              % (key, what, ", ".join(sorted(keys))))
+
+
 def _load_run_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
+    _check_object(cfg, "run config", _RUN_KEYS)
     for key in ("instance", "method", "iterations"):
         if key not in cfg:
             raise ConfigError("config missing %r" % key)
+    _check_object(cfg["instance"], "config instance", _INSTANCE_KEYS)
+    _check_object(cfg["instance"].get("params", {}), "params")
+    _check_object(cfg["method"], "method")
     check_positive_int(cfg["iterations"], "iterations")
     if "reference_budget" in cfg:
         check_positive_int(cfg["reference_budget"], "reference_budget")
-    if not isinstance(cfg["method"], dict):
-        raise ConfigError("method must be an object, got %r" % (cfg["method"],))
+    for key, kind, name in (("reference", bool, "boolean"), ("out", str, "string")):
+        if key in cfg and not isinstance(cfg[key], kind):
+            raise ConfigError("%s must be a %s, got %r" % (key, name, cfg[key]))
     return cfg
 
 
 def _checked_constants(instance, overrides):
     """The config's constant overrides, each of which must name a constant
     the instance declares and be a finite number > 0."""
-    if not isinstance(overrides, dict):
-        raise ConfigError("constants must be an object, got %r" % (overrides,))
+    _check_object(overrides, "constants")
     for name, value in overrides.items():
         if name not in instance.constants:
             raise ConfigError("constants.%s is not a constant %s declares "
@@ -72,7 +92,9 @@ def cmd_run(args):
         config.check_compatible(instance)
         tol = cfg.get("tolerance", methods.DEFAULT_TOL)
         check_number(tol, "tolerance", 0.0)
-    except (ConfigError, KeyError, TypeError) as exc:
+        out_dir = args.out or cfg.get("out", ".")
+        os.makedirs(out_dir, exist_ok=True)
+    except (ConfigError, KeyError, TypeError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
@@ -87,8 +109,6 @@ def cmd_run(args):
             print("reference error: %s" % exc, file=sys.stderr)
             return EXIT_VIOLATION
 
-    out_dir = args.out or cfg.get("out", ".")
-    os.makedirs(out_dir, exist_ok=True)
     try:
         result = methods.run(instance, config, reference=reference, tol=tol)
     except (BacktrackFailed, StepOutOfRange) as exc:
@@ -156,13 +176,8 @@ def cmd_rates(args):
             os.path.dirname(os.path.abspath(args.trace)), "summary.json")
         with open(summary_path) as fh:
             summary = json.load(fh)
-        reference_value = summary["reference_value"]
-    except (OSError, ValueError, KeyError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        slope = fit_tail_slope(rows, reference_value, args.tail)
-    except ValueError as exc:
+        slope = fit_tail_slope(rows, summary["reference_value"], args.tail)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     report = {

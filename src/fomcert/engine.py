@@ -161,7 +161,8 @@ def propose(state, instance, ysel, t, solved=None):
     For PROX_POINT and CURRENT_AVERAGE the y-side data do not depend on t,
     so every backtracking trial of one iteration reuses them.  A caller
     that has already solved the subproblem passes solved = (s, g_psi, As,
-    Psi(s)), and the prox step is skipped.
+    Psi(s)) and skips prox_step, as the conditional-gradient step does
+    with its linmin.  Beyond the y-side cache, only commit changes the state.
     """
     if t <= 0:
         raise ValueError("step size must be positive")

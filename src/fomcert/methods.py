@@ -53,9 +53,11 @@ def check_positive_int(value, what):
                           % (what, value))
 
 
-# The range of each numeric method field: (lower limit, strict).
+# The range of each numeric method or instance key: (lower limit, strict).
 _KEY_LIMITS = {"r": (1.0, True), "gamma": (1.0, False), "t_init": (0.0, True),
-               "C": (0.0, True), "eps": (0.0, True), "nu": (0.0, True)}
+               "C": (0.0, True), "eps": (0.0, True), "nu": (0.0, True),
+               "lam": (0.0, True), "cond": (1.0, False), "lo": (0.0, True),
+               "hi": (0.0, True), "box": (0.0, True), "radius": (0.0, True)}
 
 
 class _Method:
@@ -113,15 +115,13 @@ class _Method:
                 "declares %r" % (self.name, self.condition, instance.name,
                                  instance.condition))
 
-    def step(self, state, instance, k, prev_t):
-        """Commit iteration k under the step rule, given the step prev_t
-        accepted at k - 1 (None at k = 0); returns (trial, t)."""
+    def step(self, state, instance, prev):
+        """The trial of iteration state.k under the step rule, given the
+        trial prev accepted at k - 1 (None at k = 0).  It only proposes:
+        run commits the trial it returns."""
         # Backtracked rules, warm-started from the previously accepted step.
-        trial = backtrack(state, instance, self.ysel, self.r,
-                          self.t_init if prev_t is None else prev_t,
-                          eps=self.eps)
-        engine.commit(state, instance, trial)
-        return trial, trial.t
+        return backtrack(state, instance, self.ysel, self.r,
+                         self.t_init if prev is None else prev.t, eps=self.eps)
 
 
 @dataclass
@@ -149,29 +149,23 @@ class ConditionalSubgradient(_Method):
             raise IncompatibleConfig("nu must equal the declared nu %r of %s, "
                                      "got %r" % (declared, instance.name, self.nu))
 
-    def step(self, state, instance, k, prev_t):
-        solved = None
-        if k == 0:
+    def step(self, state, instance, prev):
+        # With h = 0 the subproblem is s = linmin(c), g_psi = -c, for any t,
+        # so only t differs between the schedules.  The y-side is at y = x.
+        y, Ay, g, c, fAy, psi_y = engine.cached_y_side(state, instance,
+                                                       self.ysel)
+        s = instance.psi.linmin(c)
+        As, psi_s = instance.A.apply(s), instance.psi.value(s)
+        if state.k == 0:
             t = 1.0  # theta_0 = 1
         elif self.schedule == "theta":
-            t = t_from_theta(cg_theta(k, instance.constants["nu"]),
+            t = t_from_theta(cg_theta(state.k, instance.constants["nu"]),
                              state.T.total)
         else:
-            # y = x, so the cached y-side holds Ax, f(Ax) and Psi(x).  The
-            # search direction s = linmin(c) is the trial's prox step (with
-            # g_psi = -c), so the trial takes s, As and Psi(s) from here.
-            y, Ay, g, c, fAy, psi_y = engine.cached_y_side(state, instance,
-                                                           self.ysel)
-            s = instance.psi.linmin(c)
-            As, psi_s = instance.A.apply(s), instance.psi.value(s)
             theta = linesearch_cg(instance, y, g, s, state.cggap,
                                   x_side=(Ay, fAy, psi_y), s_side=(As, psi_s))
-            theta = min(max(theta, 1e-12), 1.0 - 1e-9)
-            t = t_from_theta(theta, state.T.total)
-            solved = (s, -c, As, psi_s)
-        trial = engine.propose(state, instance, self.ysel, t, solved)
-        engine.commit(state, instance, trial)
-        return trial, t
+            t = t_from_theta(min(max(theta, 1e-12), 1.0 - 1e-9), state.T.total)
+        return engine.propose(state, instance, self.ysel, t, (s, -c, As, psi_s))
 
     def bound(self, con, k, Dh0):
         nu = con["nu"]
@@ -206,11 +200,9 @@ class ProxSubgradient(_Method):
     needs = ("M",)
     theory_exponent = -0.5
 
-    def step(self, state, instance, k, prev_t):
-        t = self.C / self.iterations ** 0.5
-        trial = engine.propose(state, instance, self.ysel, t)
-        engine.commit(state, instance, trial)
-        return trial, t
+    def step(self, state, instance, prev):
+        return engine.propose(state, instance, self.ysel,
+                              self.C / self.iterations ** 0.5)
 
     def bound(self, con, k, Dh0):
         K = self.iterations
@@ -309,10 +301,10 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True):
         Dh0 = instance.h.bregman(ref_point, instance.feasible_start)
 
     trace = Trace(instance.name, config.name, reference_value=ref_value)
-    prev_t = None
-    cert = None
-    for k in range(config.iterations):
-        trial, prev_t = config.step(state, instance, k, prev_t)
+    trial = cert = None
+    for _ in range(config.iterations):
+        trial = config.step(state, instance, trial)
+        engine.commit(state, instance, trial)
         bound = rate_bound(config, instance, state.k, Dh0)
         if check or state.k == config.iterations:
             cert = engine.certificate(state, instance, mode=config.reported)

@@ -371,12 +371,6 @@ _REGISTRY = {
 REGISTRY_NAMES = tuple(_REGISTRY)
 
 
-# The range of each numeric instance parameter: (lower limit, strict).
-_PARAM_LIMITS = {"lam": (0.0, True), "cond": (1.0, False), "lo": (0.0, True),
-                 "hi": (0.0, True), "box": (0.0, True), "radius": (0.0, True),
-                 "nu": (0.0, True)}
-
-
 def _check_spec(name, seed, params):
     """Raise ConfigError for a seed or an instance parameter out of range."""
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK:
@@ -394,7 +388,7 @@ def _check_spec(name, seed, params):
                 raise ConfigError("reference must be 'entropy' or 'euclidean', "
                                   "got %r" % (value,))
         elif not (key == "lam" and value is None):  # lam=None: the default
-            check_number(value, key, *_PARAM_LIMITS[key])
+            check_number(value, key, *methods._KEY_LIMITS[key])
         spec[key] = value
     if spec.get("nu", 1.0) > 1.0:  # a Hoelder exponent lies in (0, 1]
         raise ConfigError("nu must be at most 1, got %r" % (spec["nu"],))

@@ -11,13 +11,7 @@ first-order optimality conditions t*(c + g_psi) + grad h(s) - grad h(s_prev) = 0
 import numpy as np
 
 from . import _kernels
-from .oracles import (
-    BoxIndicator,
-    L1BallIndicator,
-    L1Norm,
-    SimplexIndicator,
-    ZeroFunction,
-)
+from .oracles import BoxIndicator, L1Norm, SimplexIndicator, ZeroFunction
 from .reference import MIN_POSITIVE, DomainError
 
 
@@ -78,11 +72,6 @@ def _solve_burg_box(c, t, s_prev, h, psi):
     return s, g_psi
 
 
-def _solve_zero_linmin(c, t, s_prev, h, psi):
-    s = psi.linmin(c)
-    return s, -c
-
-
 _REGISTRY = {
     ("sq_euclid", ZeroFunction): _solve_sq_zero,
     ("sq_euclid", L1Norm): _solve_sq_l1,
@@ -96,16 +85,13 @@ _REGISTRY = {
 def prox_step(instance, c, t, s_prev):
     """Solve the Bregman proximal subproblem for a registered pair.
 
-    Returns (s, g_psi).  For the zero reference function any simple part
-    with a linmin oracle is supported and g_psi = -c.
+    Returns (s, g_psi); raises UnsupportedPair for any other pair, the
+    zero reference function's included: its subproblem is the linear
+    minimization that the conditional-gradient step solves itself.
     """
     if t <= 0:
         raise ValueError("step size must be positive")
     h, psi = instance.h, instance.psi
-    if h.kind == "zero":
-        if not hasattr(psi, "linmin"):
-            raise UnsupportedPair("zero reference needs a linmin oracle")
-        return _solve_zero_linmin(c, t, s_prev, h, psi)
     solver = _REGISTRY.get((h.kind, type(psi)))
     if solver is None:
         raise UnsupportedPair("no solver for (%s, %s)" % (h.kind, type(psi).__name__))

@@ -2,15 +2,15 @@
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
-
-CSV_HEADER = ["k", "t", "theta", "primal", "dual_surrogate", "gap", "delta",
-              "thm1_residual", "thm2_residual", "bound", "cggap"]
 
 
 @dataclass
 class TraceRow:
+    """One row of trace.csv: its fields, in order, are the file's columns,
+    and a None (bound or cggap only) is a blank cell."""
+
     k: int
     t: float
     theta: float
@@ -22,6 +22,9 @@ class TraceRow:
     thm2_residual: float
     bound: Optional[float] = None
     cggap: Optional[float] = None
+
+
+CSV_HEADER = [f.name for f in fields(TraceRow)]
 
 
 class Trace:
@@ -48,13 +51,8 @@ class Trace:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
             for r in self.rows:
-                w.writerow([
-                    r.k, repr(r.t), repr(r.theta), repr(r.primal),
-                    repr(r.dual_surrogate), repr(r.gap), repr(r.delta),
-                    repr(r.thm1_residual), repr(r.thm2_residual),
-                    "" if r.bound is None else repr(r.bound),
-                    "" if r.cggap is None else repr(r.cggap),
-                ])
+                w.writerow(["" if v is None else repr(v)
+                            for v in vars(r).values()])
 
     def summary(self):
         out = {
@@ -76,22 +74,22 @@ class Trace:
             fh.write("\n")
 
 
+def _cell(name, text):
+    # Only bound and cggap may be blank; k is an int, the rest floats.
+    if not text:
+        if name in ("bound", "cggap"):
+            return None
+        raise ValueError("blank %s cell in a trace row" % name)
+    return int(text) if name == "k" else float(text)
+
+
 def read_csv(path):
-    """Read a trace CSV back into TraceRow objects."""
-    rows = []
+    """Read a trace CSV back into TraceRow objects.  Raises ValueError for a
+    header other than CSV_HEADER, or for a cell that is not a number, blank
+    cells in bound and cggap aside."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames != CSV_HEADER:
             raise ValueError("unexpected trace header: %s" % (reader.fieldnames,))
-        for rec in reader:
-            rows.append(TraceRow(
-                k=int(rec["k"]), t=float(rec["t"]), theta=float(rec["theta"]),
-                primal=float(rec["primal"]),
-                dual_surrogate=float(rec["dual_surrogate"]),
-                gap=float(rec["gap"]), delta=float(rec["delta"]),
-                thm1_residual=float(rec["thm1_residual"]),
-                thm2_residual=float(rec["thm2_residual"]),
-                bound=float(rec["bound"]) if rec["bound"] else None,
-                cggap=float(rec["cggap"]) if rec["cggap"] else None,
-            ))
-    return rows
+        return [TraceRow(**{name: _cell(name, rec[name]) for name in CSV_HEADER})
+                for rec in reader]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fomcert import engine
 from fomcert.linalg import LinearMap
 from fomcert.oracles import FEAS_TOL, INF, ProblemInstance, SmoothOracle, ZeroFunction
 from fomcert.problems import _GAMMA, _MARGIN, _MASK, SplitMix64, reference_optimum
@@ -29,6 +30,14 @@ class ScalarSplitMix64(SplitMix64):
         u1 = max(self.uniform(), 1e-300)
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def advance(config, state, instance, prev=None):
+    """One iteration of config as methods.run takes it: the method's step
+    proposes a trial, and engine.commit folds it in.  Returns the trial."""
+    trial = config.step(state, instance, prev)
+    engine.commit(state, instance, trial)
+    return trial
 
 
 def quadratic_1d(start=1.0, curvature=1.0):

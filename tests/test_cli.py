@@ -369,6 +369,42 @@ def test_module_entry_point_bad_config_exits_1(tmp_path):
     assert line.startswith("config error: cannot read config"), line
 
 
+@pytest.mark.parametrize("overrides,prefix", [
+    # A misspelt key used to run with the default it was meant to replace.
+    ({"tolerence": 1e-30},
+     "tolerence is not a run config key (it reads instance, iterations, "
+     "method, out, reference, reference_budget, tolerance)"),
+    ({"refrence": False}, "refrence is not a run config key"),
+    ({"instance": {"name": "lasso", "param": {"n": 5}}},
+     "param is not a config instance key (it reads constants, name, params, "
+     "seed)"),
+    ({"instance": ["lasso"]}, "config instance must be an object"),
+    ({"instance": {"name": "lasso", "params": [["n", 5]]}},
+     "params must be an object"),
+    ({"reference": "no"}, "reference must be a boolean"),
+    ({"reference": 0}, "reference must be a boolean"),
+    ({"out": 5}, "out must be a string"),
+], ids=["tolerence", "refrence", "instance-param", "instance-list",
+        "params-list", "reference-str", "reference-int", "out-int"])
+def test_module_entry_point_bad_run_config_prints_one_line(tmp_path, overrides,
+                                                            prefix):
+    cfgpath = _write_config(tmp_path / "cfg.json", **overrides)
+    done = _module_cli("run", "--config", str(cfgpath))
+    assert done.returncode == 1, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("config error: " + prefix), line
+
+
+def test_module_entry_point_out_naming_a_file_prints_one_line(tmp_path):
+    cfgpath = _write_config(tmp_path / "cfg.json")
+    (tmp_path / "taken").write_text("")
+    done = _module_cli("run", "--config", str(cfgpath),
+                       "--out", str(tmp_path / "taken"))
+    assert done.returncode == 1, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("config error: "), line
+
+
 def test_module_entry_point_overflowing_step_prints_one_line(tmp_path):
     # t * c overflows in the box prox before the step's weight does; no
     # floating-point warning of numpy's may reach stderr.
@@ -480,6 +516,37 @@ def test_read_csv_rejects_wrong_header(tmp_path):
         fh.write("k,t,wrong\n1,2,3\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("name,config", [
+    ("cg-ball", methods.ConditionalSubgradient(iterations=30)),
+    ("lasso", methods.ProxGradient(iterations=30)),  # no reference
+], ids=["cg-ball", "lasso"])
+def test_read_csv_round_trips_write_csv(tmp_path, name, config):
+    trace = methods.run(problems.make_instance(name, seed=0), config)
+    trace.write_csv(tmp_path / "trace.csv")
+    rows = read_csv(tmp_path / "trace.csv")
+    assert rows == trace.rows
+    assert all((row.cggap is None) == (name == "lasso") for row in rows)
+    assert all((row.bound is None) == (name == "lasso") for row in rows)
+
+
+def test_blank_required_cell_is_rejected(tmp_path, capsys):
+    trace = methods.run(problems.make_instance("lasso", seed=0),
+                        methods.ProxGradient(iterations=30))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[CSV_HEADER.index("primal")] = ""
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="blank primal"):
+        read_csv(path)
+    (tmp_path / "summary.json").write_text('{"reference_value": 0.0}')
+    assert cli.main(["rates", "--trace", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: blank primal cell in a trace row"], err
 
 
 @pytest.mark.parametrize("schedule", ["theta", "linesearch"])

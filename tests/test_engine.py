@@ -15,10 +15,13 @@ from fomcert.engine import (
     segment_ends,
     segment_excess,
 )
+from fomcert.methods import ConditionalSubgradient
 from fomcert.problems import REGISTRY_NAMES, make_instance
+from fomcert.steprules import cg_theta
 
 from conftest import (
     ScalarSplitMix64,
+    advance,
     combination_excess,
     quadratic_1d,
     sample_point,
@@ -110,7 +113,7 @@ def test_d_conjugate_closed_form(quad1d):
 def test_d_conjugate_zero_reference():
     inst = make_instance("cg-ball", seed=0)
     state = EngineState(inst)
-    iterate(state, inst, CURRENT_AVERAGE, 1.0)
+    advance(ConditionalSubgradient(iterations=1), state, inst)
     assert d_conjugate(state, inst) == 0.0
 
 
@@ -188,13 +191,12 @@ def test_propose_validates_inputs(quad1d):
 
 def test_cggap_recursion_matches_incremental():
     inst = make_instance("cg-ball", seed=0)
+    config = ConditionalSubgradient(iterations=20)
     state = EngineState(inst)
-    from fomcert.steprules import cg_theta, t_from_theta
-    direct = None
-    for k in range(20):
-        theta = cg_theta(k, 1.0)
-        t = 1.0 if k == 0 else t_from_theta(theta, state.T.total)
-        trial = engine.propose(state, inst, CURRENT_AVERAGE, t)
+    trial = direct = None
+    for k in range(config.iterations):
+        trial = config.step(state, inst, trial)
+        assert abs(trial.theta - cg_theta(k, inst.constants["nu"])) <= 1e-12
         if k == 0:
             direct = trial.excess
         else:
@@ -213,7 +215,9 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name", REGISTRY_NAMES)
+# cg-ball's zero h has no prox step: its one method solves the linmin and
+# passes it to propose (tests/test_steprules.py counts that step's calls).
+@pytest.mark.parametrize("name", [n for n in REGISTRY_NAMES if n != "cg-ball"])
 def test_cached_trials_match_fresh_proposals(name):
     # Proposing at t1 and then t2 within one iteration, the selectors
     # interleaved, gives the same trial at t2, bit for bit, as a proposal
@@ -266,11 +270,11 @@ def test_prox_point_step_reuses_committed_s_side(monkeypatch, name, method):
     monkeypatch.setattr(inst.f, "value", counting("f", inst.f.value))
     monkeypatch.setattr(inst.psi, "value", counting("psi", inst.psi.value))
     monkeypatch.setattr(engine, "prox_step", counting("trials", engine.prox_step))
-    prev_t = None
-    for k in range(config.iterations):
+    trial = None
+    for _ in range(config.iterations):
         for key in calls:
             calls[key] = 0
-        _, prev_t = config.step(state, inst, k, prev_t)
+        trial = advance(config, state, inst, trial)
         trials = calls["trials"]
         assert trials >= 1
         assert calls["A"] == trials
@@ -286,7 +290,7 @@ def test_carried_s_side_equals_fresh_evaluation(name):
         inst.feasible_start = np.full(inst.A.in_dim, 0.1)
     config = ProxGradient(iterations=200)
     state = EngineState(inst)
-    prev_t = None
+    trial = None
     for k in range(config.iterations + 1):
         As, fAs, psi_s = state.s_prev_side
         fresh = inst.A.apply(state.s_prev)
@@ -294,7 +298,7 @@ def test_carried_s_side_equals_fresh_evaluation(name):
         assert fAs == inst.f.value(fresh), k
         assert psi_s == inst.psi.value(state.s_prev), k
         if k < config.iterations:
-            _, prev_t = config.step(state, inst, k, prev_t)
+            trial = advance(config, state, inst, trial)
 
 
 def test_anchor_gradient_computed_once_per_run(monkeypatch):

@@ -28,7 +28,7 @@ from fomcert.problems import make_instance
 from fomcert.prox import UnsupportedPair, prox_step
 from fomcert.trace import Trace
 
-from conftest import quadratic_1d, registered_optimum
+from conftest import advance, quadratic_1d, registered_optimum
 from test_golden_traces import RUNS
 
 
@@ -265,10 +265,10 @@ def test_state_objective_matches_fresh_evaluation(name, config):
     # F(x_k) carried on the state equals a fresh evaluation at the iterate.
     inst = make_instance(name, seed=0)
     state = engine.EngineState(inst)
-    prev_t = None
+    trial = None
     for k in range(config.iterations + 1):
         if k:
-            _, prev_t = config.step(state, inst, k - 1, prev_t)
+            trial = advance(config, state, inst, trial)
         assert state.F_x == inst.f.value(state.Ax) + inst.psi.value(state.x), k
 
 

@@ -86,12 +86,12 @@ def test_burg_unbounded_without_upper_bound():
         prox_step(inst, np.array([-10.0]), 1.0, np.array([1.0]))
 
 
-def test_zero_reference_linmin():
+def test_zero_reference_is_unsupported():
+    # A zero h's subproblem is a linear minimization, which the
+    # conditional-gradient step solves itself with the linmin oracle.
     inst = _instance(ZeroReference(), L1BallIndicator(1.0), 2)
-    c = np.array([0.5, -2.0])
-    s, g_psi = prox_step(inst, c, 3.0, np.zeros(2))
-    assert np.allclose(s, [0.0, 1.0])
-    assert np.allclose(g_psi, -c)
+    with pytest.raises(UnsupportedPair):
+        prox_step(inst, np.array([0.5, -2.0]), 3.0, np.zeros(2))
 
 
 def test_unsupported_pair():

@@ -16,6 +16,7 @@ from fomcert.steprules import (
 )
 
 from conftest import (
+    advance,
     maximal_t_sequence,
     quadratic_1d,
     sample_point,
@@ -261,16 +262,17 @@ def test_linesearch_with_x_side_is_bitwise_same():
                 == linesearch_cg(inst, x, g, s, cggap))
 
 
-def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch):
-    # A line-search step evaluates the y-side (A x, f(Ax), Psi(x), as
-    # y = x), one linmin for the direction s, A s and Psi(s) once, and one
-    # A, f and Psi per trial theta, then f(As) and f, Psi at the combination
-    # in finish_trial.  The search reads A x, f(Ax), Psi(x) from the cache,
-    # and the trial takes s, A s and Psi(s) from the search.
+@pytest.mark.parametrize("schedule", ["theta", "linesearch"])
+def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch, schedule):
+    # A step of either schedule evaluates the y-side (A x, f(Ax), Psi(x), as
+    # y = x) and, for the direction s, one linmin, A s and Psi(s) once.  The
+    # line search adds one A, f and Psi per trial theta (none at k = 0, and
+    # none ever on the theta schedule), reading A x, f(Ax), Psi(x), A s and
+    # Psi(s) from the step; finish_trial adds f(As) and f, Psi at the
+    # combination.
     inst = make_instance("cg-ball", seed=0)
-    config = ConditionalSubgradient(iterations=20, schedule="linesearch")
+    config = ConditionalSubgradient(iterations=20, schedule=schedule)
     state = EngineState(inst)
-    config.step(state, inst, 0, None)  # theta_0 = 1, no search
     calls = _count_evaluations(monkeypatch, inst)
     linmin = inst.psi.linmin
     calls["linmin"] = 0
@@ -280,13 +282,16 @@ def test_cg_linesearch_step_reuses_cached_y_side(monkeypatch):
         return linmin(c)
 
     monkeypatch.setattr(inst.psi, "linmin", counting_linmin)
-    prev_t = None
-    for k in range(1, config.iterations):
+    trial = None
+    for k in range(config.iterations):
         for key in calls:
             calls[key] = 0
-        _, prev_t = config.step(state, inst, k, prev_t)
+        trial = advance(config, state, inst, trial)
         evals = calls["evals"]
-        assert evals > 2
+        if schedule == "linesearch" and k > 0:
+            assert evals > 2
+        else:
+            assert evals == 0
         assert calls["linmin"] == 1
         assert calls["A"] == evals + 2
         assert calls["f"] == evals + 3
