@@ -10,8 +10,8 @@ import sys
 import numpy as np
 
 from . import methods, problems, trace as trace_mod
-from .engine import StepOutOfRange
 from .methods import ConfigError, check_number, check_positive_int
+from .prox import NotAdmissible
 from .steprules import BacktrackFailed
 
 EXIT_OK = 0
@@ -98,31 +98,36 @@ def cmd_run(args):
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
-    reference = None
-    # By default, a run gets a reference where the instance registers a
-    # solver for its optimum; reading the solver does not run it.
-    if cfg.get("reference", instance.solve_optimum is not None):
-        try:
+    aborted = None
+    try:
+        reference = None
+        # By default, a run gets a reference where the instance registers a
+        # solver for its optimum; reading the solver does not run it.
+        if cfg.get("reference", instance.solve_optimum is not None):
             reference = problems.reference_optimum(
                 instance, budget=cfg.get("reference_budget", 20000))
-        except methods.ReferenceBracketError as exc:
-            print("reference error: %s" % exc, file=sys.stderr)
-            return EXIT_VIOLATION
-
-    try:
         result = methods.run(instance, config, reference=reference, tol=tol)
-    except (BacktrackFailed, StepOutOfRange) as exc:
-        summary = {"violations": ["backtracking failed: %s" % exc]}
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
-        print("run aborted: %s" % exc, file=sys.stderr)
+    except methods.ReferenceBracketError as exc:
+        print("reference error: %s" % exc, file=sys.stderr)
         return EXIT_VIOLATION
-
-    result.write_csv(os.path.join(out_dir, "trace.csv"))
-    result.write_summary(os.path.join(out_dir, "summary.json"))
-    if result.violations:
-        for v in result.violations[:20]:
-            print("violation: %s" % v, file=sys.stderr)
+    except (ValueError, BacktrackFailed, NotAdmissible) as exc:
+        # A numerical fault (InfeasibleStart, DomainError, StepOutOfRange, a
+        # step whose every trial failed) in the run or its reference run.
+        aborted = "run aborted: %s" % exc
+    try:
+        if aborted is None:
+            result.write_csv(os.path.join(out_dir, "trace.csv"))
+            result.write_summary(os.path.join(out_dir, "summary.json"))
+        else:
+            with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+                json.dump({"violations": [aborted]}, fh, indent=2)
+    except OSError as exc:
+        print("config error: cannot write outputs: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    errors = ([aborted] if aborted else
+              ["violation: %s" % v for v in result.violations[:20]])
+    if errors:
+        print("\n".join(errors), file=sys.stderr)
         return EXIT_VIOLATION
     print("ok: %d iterations, final gap %.6e"
           % (len(result.rows), result.final.gap))

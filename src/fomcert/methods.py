@@ -1,13 +1,14 @@
 """The named algorithms, each one dataclass over the engine and the step
-rules that attaches its convergence bound to the trace."""
+rules that attaches its convergence bound to the trace, and the condition
+classes their bounds are proved under."""
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from . import engine
 from .engine import CURRENT_AVERAGE, FAST_COMBO, PROX_POINT
-from .oracles import ProblemInstance
 from .reference import SquaredEuclidean
 from .steprules import backtrack, cg_theta, linesearch_cg, t_from_theta
 from .trace import Trace, TraceRow
@@ -30,9 +31,9 @@ class IncompatibleConfig(ConfigError):
 
 
 class ReferenceBracketError(ValueError):
-    """A reference optimum that is not certified: a reference run whose
-    final certificate does not bracket the optimum, or a registered solve
-    that failed or whose Fenchel gap (ProblemInstance.fenchel_gap at the
+    """A reference optimum that is not certified: a reference run with no
+    rows or whose final row fails _check_row, or a registered solve that
+    failed or whose Fenchel gap (ProblemInstance.fenchel_gap at the
     solver's dual point) is not finite and small."""
 
 
@@ -58,6 +59,64 @@ _KEY_LIMITS = {"r": (1.0, True), "gamma": (1.0, False), "t_init": (0.0, True),
                "C": (0.0, True), "eps": (0.0, True), "nu": (0.0, True),
                "lam": (0.0, True), "cond": (1.0, False), "lo": (0.0, True),
                "hi": (0.0, True), "box": (0.0, True), "radius": (0.0, True)}
+
+
+def _composite_bregman(instance, u, v):
+    # Bregman distance of the smooth composite x -> f(Ax).
+    A, f = instance.A, instance.f
+    Au, Av = A.apply(u), A.apply(v)
+    g = A.adjoint_apply(f.subgradient(Av))
+    return f.value(Au) - f.value(Av) - float(g @ (u - v))
+
+
+def _smooth_sides(instance, con, x, y):
+    D = instance.h.bregman(y, x)
+    return _composite_bregman(instance, y, x), con["L"] * D, D
+
+
+def _relcont_sides(instance, con, x, s, a):
+    t = 1e-3 + a
+    g = instance.A.adjoint_apply(instance.f.subgradient(instance.A.apply(x)))
+    return (-t * float(g @ (s - x)) - instance.h.bregman(s, x),
+            con["M"] * t * t / 2.0, t * t / 2.0)
+
+
+def _holder_sides(instance, con, x, s, s_, theta):
+    p, q = 1.0 + con["nu"], 1.0 - theta
+    tp, D = theta ** p, instance.h.bregman(s, s_) ** (p / 2.0)
+    return (_composite_bregman(instance, q * x + theta * s, q * x + theta * s_),
+            2.0 * con["M"] * tp * D / p, 2.0 * tp * D / p)
+
+
+def _curvature_sides(instance, con, x, s, theta):
+    p = 1.0 + con["nu"]
+    g = instance.f.subgradient(instance.A.apply(x))
+    return (engine.segment_excess(instance, x, g, s, theta),
+            con["M"] * theta ** p / p, theta ** p / p)
+
+
+class Condition(NamedTuple):
+    constants: tuple  # the constants the class declares
+    sample: tuple  # (points, scalars): that many points, then 0 or 1 uniform
+    sides: Callable  # (instance, con, *points, *scalars) -> (lhs, rhs, rest)
+
+
+# The condition classes an instance may declare.  At a sample, sides gives
+# the two sides of the class's inequality lhs <= rhs under the constants
+# con, and rest, the rhs without its constant:
+#   smooth.1  D_{f.A}(y, x) <= L D_h(y, x)  (relative smoothness);
+#   relcont   -t <(f.A)'(x), s - x> - D_h(s, x) <= M t^2 / 2 at t = 1e-3 + a
+#             (relative continuity);
+#   smooth.3  D_{f.A}(u, v) <= 2 M theta^(1+nu) D_h(s, s')^((1+nu)/2) / (1+nu)
+#             at (u, v) = (1 - theta) x + theta (s, s')  (Hoelder smoothness);
+#   curv.nu   segment_excess(x, s, theta) <= M theta^(1+nu) / (1+nu)
+#             (curvature).
+CONDITIONS = {
+    "smooth.1": Condition(("L",), (2, 0), _smooth_sides),
+    "relcont": Condition(("M",), (2, 1), _relcont_sides),
+    "smooth.3": Condition(("M", "nu"), (3, 1), _holder_sides),
+    "curv.nu": Condition(("M", "nu"), (2, 1), _curvature_sides),
+}
 
 
 class _Method:
@@ -98,13 +157,14 @@ class _Method:
 
     def check_compatible(self, instance):
         """Raise IncompatibleConfig unless the method's bound is proved on
-        the instance: a zero h exactly for the zero-reference methods, every
-        constant the bound reads declared, and the method's condition class.
+        the instance: a zero h exactly for the zero-reference methods, and
+        the method's condition class with all its CONDITIONS constants.
         compatible_configs offers the methods that pass this check."""
         if instance.zero_reference != self.zero_reference:
             raise IncompatibleConfig("%s needs a %s reference function" % (
                 self.name, "zero" if self.zero_reference else "nonzero"))
-        missing = [c for c in self.needs if c not in instance.constants]
+        missing = [c for c in CONDITIONS[self.condition].constants
+                   if c not in instance.constants]
         if missing:
             raise IncompatibleConfig("the %s bound reads %s, which %s does not "
                                      "declare" % (self.name, ", ".join(missing),
@@ -133,7 +193,6 @@ class ConditionalSubgradient(_Method):
     name = "conditional_subgradient"
     ysel = CURRENT_AVERAGE
     condition = "curv.nu"
-    needs = ("M", "nu")
     bound_kind = "gap"  # on the certified gap, with no reference optimum
     theory_exponent = -1.0
     zero_reference = True
@@ -181,7 +240,6 @@ class ProxGradient(_Method):
     name = "prox_gradient"
     ysel = PROX_POINT
     condition = "smooth.1"
-    needs = ("L",)
     theory_exponent = -1.0
 
     def bound(self, con, k, Dh0):
@@ -197,7 +255,6 @@ class ProxSubgradient(_Method):
     reported = "z"
     ysel = PROX_POINT
     condition = "relcont"
-    needs = ("M",)
     theory_exponent = -0.5
 
     def step(self, state, instance, prev):
@@ -220,7 +277,6 @@ class FastGradient(_Method):
     name = "fast_gradient"
     ysel = FAST_COMBO
     condition = "smooth.1"
-    needs = ("L",)
     theory_exponent = -2.0
 
     def check_compatible(self, instance):
@@ -249,7 +305,6 @@ class UniversalGradient(_Method):
     name = "universal_gradient"
     ysel = FAST_COMBO
     condition = "smooth.3"
-    needs = ("M", "nu")
     theory_exponent = None  # depends on the instance's nu
 
     def bound(self, con, k, Dh0):
@@ -286,10 +341,10 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True):
     convergence bounds; the bound column stays empty without it (except for
     the conditional-gradient bound, which needs no optimum).
 
+    Each certified row's failed checks (_check_row) go to trace.violations.
     Unchecked runs certify only the final iterate: with check=False every
     row still carries k, t, theta, bound and cggap, but the certificate
-    columns are NaN on all rows but the last.  The last certificate is kept
-    as ``trace.final_certificate`` (None for a run of zero iterations).
+    columns are NaN on all rows but the last.
     """
     config.check_compatible(instance)
     t0 = time.perf_counter()
@@ -301,35 +356,34 @@ def run(instance, config, reference=None, tol=DEFAULT_TOL, check=True):
         Dh0 = instance.h.bregman(ref_point, instance.feasible_start)
 
     trace = Trace(instance.name, config.name, reference_value=ref_value)
-    trial = cert = None
+    trial = None
     for _ in range(config.iterations):
         trial = config.step(state, instance, trial)
         engine.commit(state, instance, trial)
         bound = rate_bound(config, instance, state.k, Dh0)
-        if check or state.k == config.iterations:
-            cert = engine.certificate(state, instance, mode=config.reported)
-        else:
-            cert = _UNCERTIFIED
+        certified = check or state.k == config.iterations
+        cert = (engine.certificate(state, instance, mode=config.reported)
+                if certified else _UNCERTIFIED)
         cggap = state.cggap if instance.zero_reference else None
         trace.append(TraceRow(
             k=state.k, t=trial.t, theta=trial.theta, primal=cert.primal,
             dual_surrogate=cert.dual_surrogate, gap=cert.gap, delta=cert.delta,
             thm1_residual=cert.thm1_residual, thm2_residual=cert.thm2_residual,
             bound=bound, cggap=cggap))
-        if check:
+        if certified:
             _check_row(trace, instance, config, cert, state, bound,
                        ref_value, tol)
     trace.wall_time_ms = 1000.0 * (time.perf_counter() - t0)
     trace.state = state
-    trace.final_certificate = cert
     return trace
 
 
 def _check_row(trace, instance, config, cert, state, bound, ref_value, tol):
     # Every comparison is written so that a NaN on either side fails it.
     k = state.k
-    for name, value in (("primal", cert.primal), ("gap", cert.gap),
-                        ("delta", cert.delta),
+    for name, value in (("primal", cert.primal),
+                        ("dual_surrogate", cert.dual_surrogate),
+                        ("gap", cert.gap), ("delta", cert.delta),
                         ("thm1_residual", cert.thm1_residual),
                         ("thm2_residual", cert.thm2_residual),
                         ("bound", bound)):
@@ -383,48 +437,25 @@ def reference_run(instance, budget):
     final certificate (primal - weak_gap) is a lower bound on it: the
     perturbed dual surrogate is not, and it can lie above the primal.
 
-    The run's final certificate is checked before the value is returned:
-    primal, dual surrogate, delta and both identity residuals
-    must be finite, the plain weak-duality gap at least -1e-9 (+inf is
-    allowed) and both residuals at most DEFAULT_TOL.  Otherwise
-    ReferenceBracketError is raised.
+    The run is unchecked, so its final row is the one it certifies, and
+    that row must pass the checks every row of a checked run passes
+    (_check_row at DEFAULT_TOL): otherwise, or when the run has no rows,
+    ReferenceBracketError is raised with the first violation.
     """
     if instance.name == "simplex-quadratic" and not isinstance(
             instance.h, SquaredEuclidean):
         # The Euclidean twin shares f, Psi, and constants and admits the
         # fast method, which converges far quicker than the entropy run.
-        twin = ProblemInstance(
-            A=instance.A, f=instance.f, psi=instance.psi,
-            h=SquaredEuclidean(), feasible_start=instance.feasible_start,
-            constants=instance.constants, name=instance.name,
-            condition=instance.condition)
-        return reference_run(twin, budget)
+        return reference_run(replace(instance, h=SquaredEuclidean()), budget)
     configs = compatible_configs(instance, budget)
     # The fast method, where offered, converges far quicker than the rest.
     config = next((c for c in configs if c.name == FastGradient.name),
                   configs[0])
     trace = run(instance, config, check=False)
-    _check_bracket(instance, config, trace.final_certificate)
+    faults = trace.violations if trace.rows else ["no iterations to certify"]
+    if faults:
+        raise ReferenceBracketError("reference run (%s, %s): %s"
+                                    % (instance.name, config.name, faults[0]))
     state = trace.state
     point = state.x if config.reported == "x" else state.z
     return instance.primal_value(point), point
-
-
-def _check_bracket(instance, config, cert):
-    where = "reference run (%s, %s)" % (instance.name, config.name)
-    if cert is None:
-        raise ReferenceBracketError("%s: no iterations to certify" % where)
-    for name in ("primal", "dual_surrogate", "delta", "thm1_residual",
-                 "thm2_residual"):
-        value = getattr(cert, name)
-        if not math.isfinite(value):
-            raise ReferenceBracketError("%s: non-finite %s: %r"
-                                        % (where, name, value))
-    if not (cert.weak_gap >= -1e-9):
-        raise ReferenceBracketError("%s: weak duality violated: gap=%r"
-                                    % (where, cert.weak_gap))
-    for name in ("thm1_residual", "thm2_residual"):
-        value = getattr(cert, name)
-        if not (value <= DEFAULT_TOL):
-            raise ReferenceBracketError("%s: %s %.3e exceeds %g"
-                                        % (where, name, value, DEFAULT_TOL))

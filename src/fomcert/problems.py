@@ -1,6 +1,5 @@
 """Desk-scale benchmark instances with declared constants, domain samplers,
-registered optima, and a numerical verifier for the
-smoothness/continuity/curvature classes."""
+registered optima, and a numerical verifier of their condition classes."""
 
 import inspect
 import math
@@ -9,7 +8,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import methods
-from .engine import segment_excess
 from .linalg import LinearMap
 from .methods import (
     ConfigError,
@@ -420,19 +418,6 @@ def make_instance(name, seed=0, **params):
     return instance
 
 
-def _composite_bregman(instance, u, v):
-    # Bregman distance of the smooth composite x -> f(Ax).
-    A, f = instance.A, instance.f
-    Au, Av = A.apply(u), A.apply(v)
-    g = A.adjoint_apply(f.subgradient(Av))
-    return f.value(Au) - f.value(Av) - float(g @ (u - v))
-
-
-# Each condition class's sample: its number of points, then whether one
-# scalar uniform (t or theta) follows them in the stream.
-_SAMPLE_SHAPE = {"smooth.1": (2, 0), "relcont": (2, 1), "smooth.2": (3, 1),
-                 "smooth.3": (3, 1), "curv.nu": (2, 1)}
-
 # verify_constants draws the uniforms of at most this many samples as one
 # block.  Blocks of 64 and 1024 samples run at the same speed, but the
 # block's memory grows with it: a traced peak of 0.12 MB against 1.8 MB.
@@ -442,8 +427,11 @@ _CHUNK = 64
 def verify_constants(instance, samples=1000, seed=12345, constants=None):
     """Sample the claimed condition class and report the worst violation ratio.
 
-    Passes iff max_ratio <= 1 + 1e-9.  Ratios with a vanishing right-hand
-    side are skipped (both sides are zero to rounding there).
+    The ratio at a sample is lhs / rhs, the sides of the inequality of the
+    instance's class (methods.CONDITIONS; ValueError for a class it lacks)
+    under the declared constants, updated by constants.  Passes iff
+    max_ratio <= 1 + 1e-9.  A sample is skipped only where the right side
+    without its constant (D_h, theta^(1+nu), ...) is below 1e-12.
 
     Sample i takes its points, then its scalar uniform, from the stream
     SplitMix64(seed) right after sample i - 1's; the samples of one chunk
@@ -452,72 +440,28 @@ def verify_constants(instance, samples=1000, seed=12345, constants=None):
     con = dict(instance.constants)
     if constants:
         con.update(constants)
-    cond = instance.condition
-    if cond not in _SAMPLE_SHAPE:
+    if instance.condition not in methods.CONDITIONS:
         raise ValueError("instance claims no known condition class")
-    npoints, nscalars = _SAMPLE_SHAPE[cond]
+    _, (npoints, nscalars), sides = methods.CONDITIONS[instance.condition]
     width, points = instance.sampler
     span = npoints * width
     rng = SplitMix64(seed)
-    h = instance.h
     max_ratio = 0.0
-    tiny = 1e-12
 
     for start in range(0, samples, _CHUNK):
         k = min(_CHUNK, samples - start)
         block = rng.uniforms(k * (span + nscalars)).reshape(k, span + nscalars)
         drawn = points(block[:, :span].reshape(k * npoints, width))
-        drawn = drawn.reshape(k, npoints, -1)
-        scalars = block[:, span].tolist() if nscalars else [None] * k
-        for P, a in zip(drawn, scalars):
-            if cond == "smooth.1":
-                x, y = P
-                rhs = con["L"] * h.bregman(y, x)
-                if rhs < tiny:
-                    continue
-                ratio = _composite_bregman(instance, y, x) / rhs
-            elif cond == "relcont":
-                x, s = P
-                t = 1e-3 + a
-                g = instance.A.adjoint_apply(
-                    instance.f.subgradient(instance.A.apply(x)))
-                lhs = -t * float(g @ (s - x)) - h.bregman(s, x)
-                rhs = con["M"] * t * t / 2.0
-                ratio = lhs / rhs
-            elif cond == "smooth.2":
-                x, s, s_ = P
-                theta = a
-                rhs = con["L"] * theta ** con["gamma"] * h.bregman(s, s_)
-                if rhs < tiny:
-                    continue
-                u = (1.0 - theta) * x + theta * s
-                v = (1.0 - theta) * x + theta * s_
-                ratio = _composite_bregman(instance, u, v) / rhs
-            elif cond == "smooth.3":
-                x, s, s_ = P
-                theta = a
-                nu = con["nu"]
-                rhs = (2.0 * con["M"] * theta ** (1.0 + nu)
-                       * h.bregman(s, s_) ** ((1.0 + nu) / 2.0) / (1.0 + nu))
-                if rhs < tiny:
-                    continue
-                u = (1.0 - theta) * x + theta * s
-                v = (1.0 - theta) * x + theta * s_
-                ratio = _composite_bregman(instance, u, v) / rhs
-            else:  # curv.nu
-                x, s = P
-                theta = a
-                nu = con["nu"]
-                rhs = con["M"] * theta ** (1.0 + nu) / (1.0 + nu)
-                if rhs < tiny:
-                    continue
-                g = instance.f.subgradient(instance.A.apply(x))
-                ratio = segment_excess(instance, x, g, s, theta) / rhs
-            max_ratio = max(max_ratio, ratio)
+        for P, a in zip(drawn.reshape(k, npoints, -1),
+                        block[:, span:].tolist()):
+            lhs, rhs, rest = sides(instance, con, *P, *a)
+            # lhs <= 0 cannot raise max_ratio; lhs > 0 over rhs = 0 fails.
+            if rest >= 1e-12 and lhs > 0.0:
+                max_ratio = max(max_ratio, lhs / rhs if rhs > 0.0 else INF)
 
     return {
         "instance": instance.name,
-        "condition": cond,
+        "condition": instance.condition,
         "constants": con,
         "samples": samples,
         "max_ratio": max_ratio,

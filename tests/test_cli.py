@@ -405,6 +405,34 @@ def test_module_entry_point_out_naming_a_file_prints_one_line(tmp_path):
     assert line.startswith("config error: "), line
 
 
+@pytest.mark.parametrize("reference", [True, False])
+def test_module_entry_point_infeasible_start_prints_one_line(tmp_path,
+                                                             reference):
+    # The start point 1 lies outside the box [2, 10]; the reference run
+    # (reference true) or the run itself stops on it.
+    cfgpath = _write_config(
+        tmp_path / "cfg.json",
+        instance={"name": "poisson-burg", "params": {"lo": 2.0, "hi": 10.0}},
+        reference=reference, reference_budget=20)
+    done = _module_cli("run", "--config", str(cfgpath),
+                       "--out", str(tmp_path / "out"))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "run aborted: starting point outside dom(Psi)"], done.stderr
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_module_entry_point_unwritable_trace_prints_one_line(tmp_path):
+    cfgpath = _write_config(tmp_path / "cfg.json")
+    (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+    done = _module_cli("run", "--config", str(cfgpath),
+                       "--out", str(tmp_path / "out"))
+    assert done.returncode == 1, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("config error: cannot write outputs: "), line
+    assert "trace.csv" in line, line
+
+
 def test_module_entry_point_overflowing_step_prints_one_line(tmp_path):
     # t * c overflows in the box prox before the step's weight does; no
     # floating-point warning of numpy's may reach stderr.
@@ -442,6 +470,17 @@ def test_verify_fault_injection(capsys):
                      "--scale-constant", "M=0.01"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert not report["passed"]
+
+
+@pytest.mark.parametrize("instance,scaled", [
+    ("lasso", "L=1e-14"), ("holder", "M=1e-16"), ("cg-ball", "M=1e-14")])
+def test_verify_near_zero_constant_exits_2(capsys, instance, scaled):
+    # The right side shrinks with the constant; the samples skipped as zero
+    # to rounding must not, or every sample is skipped and verify passes.
+    assert cli.main(["verify", "--instance", instance, "--samples", "500",
+                     "--scale-constant", scaled]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert not report["passed"] and report["max_ratio"] > 1e6, report
 
 
 @pytest.mark.parametrize("factor", ["-1", "0", "nan", "inf", "-inf"])

@@ -235,8 +235,9 @@ def _violations(bound=0.5, **fields):
     return trace.violations
 
 
-@pytest.mark.parametrize("field", ["primal", "gap", "delta", "thm1_residual",
-                                   "thm2_residual", "bound", "weak_gap"])
+@pytest.mark.parametrize("field", ["primal", "dual_surrogate", "gap", "delta",
+                                   "thm1_residual", "thm2_residual", "bound",
+                                   "weak_gap"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_check_row_fails_closed(field, value):
     assert _violations() == []
@@ -289,7 +290,6 @@ def test_unchecked_run_certifies_only_the_final_iterate(name, config):
     for row in unchecked.rows[:-1]:
         assert all(math.isnan(getattr(row, f)) for f in _CERT_COLUMNS)
     assert unchecked.final == checked.final
-    assert unchecked.final_certificate == checked.final_certificate
     assert unchecked.state.x.tobytes() == checked.state.x.tobytes()
 
 
@@ -313,6 +313,27 @@ def test_reference_run_rejects_bad_bracket(monkeypatch, field, value):
     monkeypatch.setattr(engine, "certificate", bad_certificate)
     with pytest.raises(ReferenceBracketError):
         reference_run(make_instance("lasso", seed=0), 50)
+
+
+def test_unchecked_run_checks_its_final_row_only(monkeypatch):
+    real = engine.certificate
+
+    def nan_certificate(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), primal=float("nan"))
+
+    monkeypatch.setattr(engine, "certificate", nan_certificate)
+    trace = run(make_instance("lasso", seed=0), ProxGradient(iterations=5),
+                check=False)
+    assert "non-finite primal at k=5: nan" in trace.violations
+    assert all("at k=5" in v for v in trace.violations), trace.violations
+
+
+def test_missing_condition_constant_is_incompatible(quad1d):
+    # A smooth.1 instance that declares no L: the prox-gradient bound reads it.
+    inst = dataclasses.replace(quad1d, constants={"M": 1.0})
+    with pytest.raises(IncompatibleConfig, match="reads L, which"):
+        ProxGradient(iterations=5).check_compatible(inst)
+    assert compatible_configs(inst, 5) == []
 
 
 def test_reference_run_rejects_zero_budget():

@@ -157,6 +157,25 @@ def test_verify_constants_detects_corruption():
     assert not bad["passed"]
 
 
+def test_verify_constants_fails_a_vanishing_constant():
+    # A constant scaled towards 0 shrinks every right side, but not the set
+    # of samples skipped as zero to rounding, so the samples fail.
+    lasso = make_instance("lasso", seed=0)
+    for scale in (1e-14, 0.0):
+        bad = verify_constants(lasso, samples=200,
+                               constants={"L": lasso.constants["L"] * scale})
+        assert not bad["passed"] and bad["max_ratio"] > 1e6, bad
+
+
+def test_verify_constants_rejects_an_unknown_condition_class():
+    # smooth.2 (triangle scaling) has no entry until an instance declares it.
+    for condition in ("smooth.2", ""):
+        inst = make_instance("lasso", seed=0)
+        inst.condition = condition
+        with pytest.raises(ValueError, match="no known condition class"):
+            verify_constants(inst, samples=10)
+
+
 def test_lasso_analytic_example():
     # B = I, b = [1, 0], lam = 0.5: per-coordinate soft threshold gives
     # x* = [0.5, 0] with value 0.125 + 0.25 = 0.375.
