@@ -21,9 +21,11 @@ def project_simplex(v):
     prefix passes the threshold test.
     """
     n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    passing = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0]
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    passing = (u * np.arange(1, n + 1) > (css - 1.0)).nonzero()[0]
     if not passing.size:
         raise DomainError("simplex projection of a +inf or NaN entry")
     rho = passing[-1]
@@ -47,7 +49,7 @@ def entropy_prox_simplex(log_s_prev, tc):
 
 def sq_euclid_bregman(s, z):
     d = s - z
-    return 0.5 * float(d @ d)
+    return 0.5 * float(d.dot(d))
 
 
 def entropy_bregman(s, z):

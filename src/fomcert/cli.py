@@ -114,13 +114,12 @@ def cmd_run(args):
         # A numerical fault (InfeasibleStart, DomainError, StepOutOfRange, a
         # step whose every trial failed) in the run or its reference run.
         aborted = "run aborted: %s" % exc
+        result = trace_mod.Trace(instance.name, config.name)
+        result.violation(aborted)
     try:
         if aborted is None:
             result.write_csv(os.path.join(out_dir, "trace.csv"))
-            result.write_summary(os.path.join(out_dir, "summary.json"))
-        else:
-            with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-                json.dump({"violations": [aborted]}, fh, indent=2)
+        result.write_summary(os.path.join(out_dir, "summary.json"))
     except OSError as exc:
         print("config error: cannot write outputs: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -160,7 +159,9 @@ def cmd_verify(args):
 
 def fit_tail_slope(rows, reference_value, tail_fraction=0.5):
     """Least-squares slope of log(suboptimality) against log(k) over the
-    final tail_fraction of the trace."""
+    final tail_fraction, in (0, 1], of the trace."""
+    if not 0.0 < tail_fraction <= 1.0:  # NaN included
+        raise ConfigError("tail must be in (0, 1], got %r" % (tail_fraction,))
     ks, vals = [], []
     start = int(len(rows) * (1.0 - tail_fraction))
     for r in rows[start:]:

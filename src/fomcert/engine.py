@@ -99,7 +99,8 @@ class EngineState:
 
 @dataclass(slots=True, eq=False)
 class TrialStep:
-    """A fully solved candidate iteration, not yet committed to the state."""
+    """A fully solved candidate iteration, not yet committed to the state.
+    It keeps form_g_psi, not g_psi: only commit forms g_psi."""
 
     t: float
     theta: float
@@ -107,7 +108,7 @@ class TrialStep:
     g: np.ndarray
     c: np.ndarray
     s: np.ndarray
-    g_psi: np.ndarray
+    form_g_psi: object
     Ay: np.ndarray
     fAy: float
     psi_y: float
@@ -160,8 +161,8 @@ def propose(state, instance, ysel, t, solved=None):
 
     For PROX_POINT and CURRENT_AVERAGE the y-side data do not depend on t,
     so every backtracking trial of one iteration reuses them.  A caller
-    that has already solved the subproblem passes solved = (s, g_psi, As,
-    Psi(s)) and skips prox_step, as the conditional-gradient step does
+    that has already solved the subproblem passes solved = (s, form_g_psi,
+    As, Psi(s)) and skips prox_step, as the conditional-gradient step does
     with its linmin.  Beyond the y-side cache, only commit changes the state.
     """
     if t <= 0:
@@ -178,12 +179,13 @@ def propose(state, instance, ysel, t, solved=None):
         y_side = cached_y_side(state, instance, ysel)
 
     if solved is None:
-        s, g_psi = prox_step(instance, y_side[3], t, state.s_prev)
-        solved = (s, g_psi, instance.A.apply(s), instance.psi.value(s))
+        sol = prox_step(instance, y_side[3], t, state.s_prev)
+        solved = (sol.s, sol.form_g_psi, instance.A.apply(sol.s),
+                  instance.psi.value(sol.s))
     return finish_trial(state, instance, t, theta, y_side, *solved)
 
 
-def finish_trial(state, instance, t, theta, y_side, s, g_psi, As, psi_s):
+def finish_trial(state, instance, t, theta, y_side, s, form_g_psi, As, psi_s):
     """Evaluate the objective pieces a trial needs for its descent terms,
     given y_side = (y, Ay, g, c, f(Ay), Psi(y)) and As = A s, psi_s = Psi(s)."""
     y, Ay, g, c, fAy, psi_y = y_side
@@ -196,10 +198,10 @@ def finish_trial(state, instance, t, theta, y_side, s, g_psi, As, psi_s):
     x_comb = (1.0 - theta) * state.x + theta * s
     F_comb = f.value(Ax_comb) + psi.value(x_comb)
     F_s = fAs + psi_s
-    D_fa = fAs - fAy - float(g @ (As - Ay))
+    D_fa = fAs - fAy - float(np.vdot(g, As - Ay))
     excess = F_comb - (1.0 - theta) * state.F_x - theta * F_s + theta * D_fa
     sgrad_term = t * excess / theta - Dh
-    return TrialStep(t, theta, y, g, c, s, g_psi, Ay, fAy, psi_y,
+    return TrialStep(t, theta, y, g, c, s, form_g_psi, Ay, fAy, psi_y,
                      As, fAs, psi_s, Dh, excess, sgrad_term, x_comb, Ax_comb,
                      F_comb)
 
@@ -207,21 +209,23 @@ def finish_trial(state, instance, t, theta, y_side, s, g_psi, As, psi_s):
 def commit(state, instance, trial):
     """Fold an accepted trial into the state and advance one iteration.
 
-    The trial's s becomes s_prev, and its (As, f(As), Psi(s)) becomes
-    s_prev_side, the image the next PROX_POINT y-side reuses.
+    It forms the trial's g_psi.  The trial's s becomes s_prev, and its
+    (As, f(As), Psi(s)) becomes s_prev_side, the image the next PROX_POINT
+    y-side reuses.
     """
     t, theta, s = trial.t, trial.theta, trial.s
-    ssub_term = (t * (trial.psi_y - trial.psi_s - float(trial.c @ (s - trial.y)))
-                 - trial.Dh)
+    g_psi = trial.form_g_psi()
+    ssub_term = (t * (trial.psi_y - trial.psi_s
+                      - float(np.vdot(trial.c, s - trial.y))) - trial.Dh)
 
-    state.Cf.add(t * (float(trial.g @ trial.Ay) - trial.fAy))
-    state.Cpsi.add(t * (float(trial.g_psi @ s) - trial.psi_s))
+    state.Cf.add(t * (float(np.vdot(trial.g, trial.Ay)) - trial.fAy))
+    state.Cpsi.add(t * (float(np.vdot(g_psi, s)) - trial.psi_s))
     state.Sfy.add(t * trial.fAy)
     state.Spsiy.add(t * trial.psi_y)
     state.Ssub.add(ssub_term)
     state.Sgrad.add(trial.sgrad_term)
     state.U += t * trial.g
-    state.W += t * (trial.c + trial.g_psi)
+    state.W += t * (trial.c + g_psi)
 
     if instance.zero_reference:
         if state.k == 0:
@@ -259,7 +263,7 @@ def d_conjugate(state, instance):
     if state.grad_h_anchor is None:
         state.grad_h_anchor = h.gradient(state.s_anchor)
     diff = h.gradient(state.s_prev) - state.grad_h_anchor
-    num = float(diff @ state.s_prev) - h.bregman(state.s_prev, state.s_anchor)
+    num = float(np.vdot(diff, state.s_prev)) - h.bregman(state.s_prev, state.s_anchor)
     return num / state.T.total
 
 
@@ -279,7 +283,7 @@ def segment_ends(instance, x, g, s, x_side=None, s_side=None):
         s_side = (A.apply(s), instance.psi.value(s))
     Ax, fAx, psi_x = x_side
     As, psi_s = s_side
-    return (s - x, fAx, float(g @ (As - Ax)), psi_x, psi_s)
+    return (s - x, fAx, float(np.vdot(g, As - Ax)), psi_x, psi_s)
 
 
 def segment_excess(instance, x, g, s, theta, ends=None):

@@ -7,6 +7,8 @@ import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import engine
 from .engine import CURRENT_AVERAGE, FAST_COMBO, PROX_POINT
 from .reference import SquaredEuclidean
@@ -66,7 +68,7 @@ def _composite_bregman(instance, u, v):
     A, f = instance.A, instance.f
     Au, Av = A.apply(u), A.apply(v)
     g = A.adjoint_apply(f.subgradient(Av))
-    return f.value(Au) - f.value(Av) - float(g @ (u - v))
+    return f.value(Au) - f.value(Av) - float(np.vdot(g, u - v))
 
 
 def _smooth_sides(instance, con, x, y):
@@ -77,7 +79,7 @@ def _smooth_sides(instance, con, x, y):
 def _relcont_sides(instance, con, x, s, a):
     t = 1e-3 + a
     g = instance.A.adjoint_apply(instance.f.subgradient(instance.A.apply(x)))
-    return (-t * float(g @ (s - x)) - instance.h.bregman(s, x),
+    return (-t * float(np.vdot(g, s - x)) - instance.h.bregman(s, x),
             con["M"] * t * t / 2.0, t * t / 2.0)
 
 
@@ -224,7 +226,8 @@ class ConditionalSubgradient(_Method):
             theta = linesearch_cg(instance, y, g, s, state.cggap,
                                   x_side=(Ay, fAy, psi_y), s_side=(As, psi_s))
             t = t_from_theta(min(max(theta, 1e-12), 1.0 - 1e-9), state.T.total)
-        return engine.propose(state, instance, self.ysel, t, (s, -c, As, psi_s))
+        return engine.propose(state, instance, self.ysel, t,
+                              (s, lambda: -c, As, psi_s))
 
     def bound(self, con, k, Dh0):
         nu = con["nu"]

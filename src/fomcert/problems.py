@@ -120,11 +120,11 @@ def _quadratic_oracle(Q, q):
 
     def conjugate(u):
         d = u - q
-        return 0.5 * float(d @ (Qinv @ d))
+        return 0.5 * float(np.vdot(d, Qinv.dot(d)))
 
     return SmoothOracle(
-        value=lambda x: 0.5 * float(x @ (Q @ x)) + float(q @ x),
-        subgradient=lambda x: Q @ x + q,
+        value=lambda x: 0.5 * float(np.vdot(x, Q.dot(x))) + float(np.vdot(q, x)),
+        subgradient=lambda x: Q.dot(x) + q,
         conjugate=conjugate,
     )
 
@@ -164,10 +164,15 @@ def _make_lasso(rng, n=20, m=30, lam=None, cond=1e5):
     if lam is None:
         lam = 0.05 * float(np.max(np.abs(B.T @ b)))
     L = float(np.linalg.eigvalsh(B.T @ B)[-1])
+
+    def value(y):
+        d = y - b
+        return 0.5 * float(d.dot(d))
+
     f = SmoothOracle(
-        value=lambda y: 0.5 * float((y - b) @ (y - b)),
+        value=value,
         subgradient=lambda y: y - b,
-        conjugate=lambda u: 0.5 * float(u @ u) + float(u @ b),
+        conjugate=lambda u: 0.5 * float(u.dot(u)) + float(np.vdot(u, b)),
     )
     start = np.zeros(n)
     scale = max(1.0, float(np.max(np.abs(x_true))))
@@ -217,7 +222,7 @@ def _make_l1_regression(rng, n=10, m=20, box=1.0):
     f = SmoothOracle(
         value=lambda y: float(np.abs(y - b).sum()),
         subgradient=lambda y: np.sign(y - b),
-        conjugate=lambda u: (float(u @ b)
+        conjugate=lambda u: (float(np.vdot(u, b))
                              if np.abs(u).max(initial=0.0) <= 1.0 + 1e-9 else INF),
     )
     # Relative continuity constant: squared bound on any subgradient of
@@ -260,18 +265,19 @@ def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
     p = 1.0 + nu
 
     def value(y):
-        return float(np.linalg.norm(y - b)) ** p / p
+        d = y - b
+        return math.sqrt(d.dot(d)) ** p / p
 
     def subgradient(y):
         d = y - b
-        nrm = float(np.linalg.norm(d))
+        nrm = math.sqrt(d.dot(d))
         if nrm == 0.0:
             return np.zeros_like(d)
         return nrm ** (nu - 1.0) * d
 
     def conjugate(u):
         q = p / nu  # conjugate exponent of 1+nu
-        return float(u @ b) + float(np.linalg.norm(u)) ** q / q
+        return float(np.vdot(u, b)) + math.sqrt(u.dot(u)) ** q / q
 
     f = SmoothOracle(value=value, subgradient=subgradient, conjugate=conjugate)
     sigma = float(np.linalg.svd(B, compute_uv=False)[0])

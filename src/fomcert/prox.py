@@ -4,8 +4,9 @@ Each registered (reference, simple) pair solves
 
     argmin_s  t * (<c, s> + Psi(s)) + D_h(s, s_prev)
 
-and returns (s, g_psi) with g_psi a subgradient of Psi at s satisfying the
-first-order optimality conditions t*(c + g_psi) + grad h(s) - grad h(s_prev) = 0.
+and returns s with form_g_psi, which forms g_psi: a subgradient of Psi at s
+satisfying the first-order optimality conditions
+t*(c + g_psi) + grad h(s) - grad h(s_prev) = 0.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ class UnsupportedPair(KeyError):
 
 def _solve_sq_zero(c, t, s_prev, h, psi):
     s = s_prev - t * c
-    return s, np.zeros_like(s)
+    return s, lambda: np.zeros_like(s)
 
 
 def _gpsi_sq(c, t, s_prev, s):
@@ -35,17 +36,17 @@ def _gpsi_sq(c, t, s_prev, s):
 
 def _solve_sq_l1(c, t, s_prev, h, psi):
     s = _kernels.soft_threshold(s_prev - t * c, t * psi.lam)
-    return s, _gpsi_sq(c, t, s_prev, s)
+    return s, lambda: _gpsi_sq(c, t, s_prev, s)
 
 
 def _solve_sq_box(c, t, s_prev, h, psi):
     s = (s_prev - t * c).clip(psi.lo, psi.hi)
-    return s, _gpsi_sq(c, t, s_prev, s)
+    return s, lambda: _gpsi_sq(c, t, s_prev, s)
 
 
 def _solve_sq_simplex(c, t, s_prev, h, psi):
     s = _kernels.project_simplex(s_prev - t * c)
-    return s, _gpsi_sq(c, t, s_prev, s)
+    return s, lambda: _gpsi_sq(c, t, s_prev, s)
 
 
 def _solve_entropy_simplex(c, t, s_prev, h, psi):
@@ -56,20 +57,19 @@ def _solve_entropy_simplex(c, t, s_prev, h, psi):
         raise DomainError("entropy prox underflow at the simplex boundary")
     # grad h(s_prev) - grad h(s) = t*c + log_z, so g_psi is the constant
     # vector log_z / t, a subgradient of the simplex indicator everywhere.
-    g_psi = np.full_like(s, log_z / t)
-    return s, g_psi
+    return s, lambda: np.full_like(s, log_z / t)
 
 
 def _solve_burg_box(c, t, s_prev, h, psi):
     if (s_prev <= 0.0).any():
         raise DomainError("Burg prox needs a strictly positive previous point")
     denom = 1.0 + t * c * s_prev
-    if (denom <= 0.0).any() and not psi.bounded_above:
+    if not psi.bounded_above and (denom <= 0.0).any():
         raise NotAdmissible("Burg subproblem unbounded below without an upper box bound")
-    s_unc = np.where(denom > 0.0, s_prev / np.where(denom > 0.0, denom, 1.0), np.inf)
+    positive = denom > 0.0
+    s_unc = np.where(positive, s_prev / np.where(positive, denom, 1.0), np.inf)
     s = s_unc.clip(psi.lo, psi.hi)
-    g_psi = (-1.0 / s_prev + 1.0 / s) / t - c
-    return s, g_psi
+    return s, lambda: (-1.0 / s_prev + 1.0 / s) / t - c
 
 
 _REGISTRY = {
@@ -82,12 +82,27 @@ _REGISTRY = {
 }
 
 
+class ProxSolution:
+    """prox_step's s and form_g_psi; it unpacks as (s, g_psi)."""
+
+    __slots__ = ("s", "form_g_psi")
+
+    def __init__(self, s, form_g_psi):
+        self.s, self.form_g_psi = s, form_g_psi
+
+    def __iter__(self):
+        return iter((self.s, self.form_g_psi()))
+
+
 def prox_step(instance, c, t, s_prev):
     """Solve the Bregman proximal subproblem for a registered pair.
 
-    Returns (s, g_psi); raises UnsupportedPair for any other pair, the
-    zero reference function's included: its subproblem is the linear
-    minimization that the conditional-gradient step solves itself.
+    Returns a ProxSolution, which unpacks as (s, g_psi).  g_psi is formed
+    only then or by form_g_psi(): the engine forms it in commit, so a
+    backtracking trial that is rejected never does.  Raises UnsupportedPair
+    for any other pair, the zero reference function's included: its
+    subproblem is the linear minimization that the conditional-gradient
+    step solves itself.
     """
     if t <= 0:
         raise ValueError("step size must be positive")
@@ -95,4 +110,4 @@ def prox_step(instance, c, t, s_prev):
     solver = _REGISTRY.get((h.kind, type(psi)))
     if solver is None:
         raise UnsupportedPair("no solver for (%s, %s)" % (h.kind, type(psi).__name__))
-    return solver(c, t, s_prev, h, psi)
+    return ProxSolution(*solver(c, t, s_prev, h, psi))

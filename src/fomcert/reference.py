@@ -26,7 +26,7 @@ class SquaredEuclidean(ReferenceFunction):
     kind = "sq_euclid"
 
     def value(self, x):
-        return 0.5 * float(x @ x)
+        return 0.5 * float(x.dot(x))
 
     def gradient(self, x):
         return x.copy()

@@ -55,15 +55,13 @@ class Trace:
                             for v in vars(r).values()])
 
     def summary(self):
-        out = {
-            "instance": self.instance_name,
-            "method": self.method_name,
-            "iterations": len(self.rows),
-            "final_primal": self.final.primal,
-            "final_gap": self.final.gap,
-            "wall_time_ms": self.wall_time_ms,
-            "violations": list(self.violations),
-        }
+        """The summary.json object.  A trace with no rows (a run that was
+        aborted) has the instance, method and violations keys only."""
+        out = {"instance": self.instance_name, "method": self.method_name}
+        if self.rows:
+            out.update(iterations=len(self.rows), final_primal=self.final.primal,
+                       final_gap=self.final.gap, wall_time_ms=self.wall_time_ms)
+        out["violations"] = list(self.violations)
         if self.reference_value is not None:
             out["reference_value"] = self.reference_value
         return out

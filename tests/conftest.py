@@ -327,3 +327,88 @@ def old_solve_burg_box(c, t, s_prev, psi):
     s_unc = np.where(denom > 0.0, s_prev / np.where(denom > 0.0, denom, 1.0), np.inf)
     s = np.clip(s_unc, psi.lo, psi.hi)
     return s, (-1.0 / s_prev + 1.0 / s) / t - c
+
+
+# The @, np.linalg.norm, np.sort, np.cumsum and np.nonzero forms of the
+# per-trial products, norms and sorts, before they called ndarray.dot,
+# np.vdot and the ndarray methods.  The rewritten forms must return exactly
+# these values (a 1x1 map up to the sign of a zero; see linalg.LinearMap).
+def old_apply(matrix, x):
+    return matrix @ x
+
+
+def old_adjoint_apply(matrix, u):
+    return matrix.T @ u
+
+
+def old_sq_euclid_value(x):
+    return 0.5 * float(x @ x)
+
+
+def old_sq_euclid_bregman_kernel(s, z):
+    d = s - z
+    return 0.5 * float(d @ d)
+
+
+def old_project_simplex(v):
+    n = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    passing = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0]
+    if not passing.size:
+        raise DomainError("simplex projection of a +inf or NaN entry")
+    rho = passing[-1]
+    lam = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - lam, 0.0)
+
+
+def old_quadratic_value(Q, q, x):
+    return 0.5 * float(x @ (Q @ x)) + float(q @ x)
+
+
+def old_quadratic_subgradient(Q, q, x):
+    return Q @ x + q
+
+
+def old_quadratic_conjugate(Qinv, q, u):
+    d = u - q
+    return 0.5 * float(d @ (Qinv @ d))
+
+
+def old_lasso_value(b, y):
+    return 0.5 * float((y - b) @ (y - b))
+
+
+def old_lasso_conjugate(b, u):
+    return 0.5 * float(u @ u) + float(u @ b)
+
+
+def old_holder_value(b, p, y):
+    return float(np.linalg.norm(y - b)) ** p / p
+
+
+def old_holder_subgradient(b, nu, y):
+    d = y - b
+    nrm = float(np.linalg.norm(d))
+    if nrm == 0.0:
+        return np.zeros_like(d)
+    return nrm ** (nu - 1.0) * d
+
+
+def old_holder_conjugate(b, p, nu, u):
+    q = p / nu
+    return float(u @ b) + float(np.linalg.norm(u)) ** q / q
+
+
+def old_composite_bregman(instance, u, v):
+    A, f = instance.A, instance.f
+    Au, Av = A.apply(u), A.apply(v)
+    g = A.adjoint_apply(f.subgradient(Av))
+    return f.value(Au) - f.value(Av) - float(g @ (u - v))
+
+
+def old_relcont_sides(instance, con, x, s, a):
+    t = 1e-3 + a
+    g = instance.A.adjoint_apply(instance.f.subgradient(instance.A.apply(x)))
+    return (-t * float(g @ (s - x)) - instance.h.bregman(s, x),
+            con["M"] * t * t / 2.0, t * t / 2.0)

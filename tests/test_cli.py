@@ -640,3 +640,38 @@ def test_degenerate_config_exits_without_traceback(tmp_path, capsys, instance,
     assert code in codes, err
     assert len(err) == (code != 0), err
     assert all(line.startswith(prefix) for line in err), err
+
+
+def test_aborted_run_summary_has_the_trace_shape(tmp_path, capsys):
+    # The start (all ones) lies outside the box [2, 10], so the run aborts;
+    # its summary.json is written as every summary is, by the trace.
+    cfgpath = _write_config(
+        tmp_path / "cfg.json",
+        instance={"name": "poisson-burg", "seed": 0,
+                  "params": {"lo": 2.0, "hi": 10.0}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfgpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run aborted: "), err
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    assert summary == {"instance": "poisson-burg", "method": "prox_gradient",
+                       "violations": err}
+    assert text == json.dumps(summary, indent=2) + "\n"
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("tail", ["1.5", "3", "0", "-1", "nan"])
+def test_rates_tail_outside_unit_interval_exits_1(tmp_path, capsys, tail):
+    trace = methods.run(problems.make_instance("lasso", seed=0),
+                        methods.ProxGradient(iterations=30))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    (tmp_path / "summary.json").write_text('{"reference_value": 0.0}')
+    capsys.readouterr()
+    assert cli.main(["rates", "--trace", str(path), "--tail", tail]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: tail must be in (0, 1], got %r"
+                   % float(tail)], err
+    # The whole trace is a tail.
+    assert cli.main(["rates", "--trace", str(path), "--tail", "1"]) == 0

@@ -234,8 +234,10 @@ def test_cached_trials_match_fresh_proposals(name):
         for ysel in _SELECTORS:
             expect = engine.propose(copy.deepcopy(fresh), inst, ysel, t2)
             for field in engine.TrialStep.__slots__:
-                assert _same_bits(getattr(second[ysel], field),
-                                  getattr(expect, field)), (k, ysel, field)
+                got, want = getattr(second[ysel], field), getattr(expect, field)
+                if field == "form_g_psi":  # the g_psi commit would form
+                    got, want = got(), want()
+                assert _same_bits(got, want), (k, ysel, field)
             if ysel != FAST_COMBO:
                 assert second[ysel].g is first[ysel].g  # computed once
         # The reused y-side belongs to this iteration's state.
@@ -280,6 +282,42 @@ def test_prox_point_step_reuses_committed_s_side(monkeypatch, name, method):
         assert calls["A"] == trials
         assert calls["f"] == 2 * trials
         assert calls["psi"] == 2 * trials
+
+
+@pytest.mark.parametrize("name", ["poisson-burg", "lasso"])
+def test_g_psi_formed_once_per_iteration(monkeypatch, name):
+    # Backtracking solves several subproblems per iteration, and commit
+    # reads the g_psi of the one it folds in: only that g_psi is formed.
+    # A solver's g_psi counts as formed when the solver returns it as an
+    # array, or when its form_g_psi is called.
+    from fomcert import prox
+    from fomcert.methods import ProxGradient
+    inst = make_instance(name, seed=0)
+    key = (inst.h.kind, type(inst.psi))
+    solver = prox._REGISTRY[key]
+    calls = {"trials": 0, "formed": 0}
+
+    def counting(*args):
+        calls["trials"] += 1
+        s, g_psi = solver(*args)
+        if not callable(g_psi):
+            calls["formed"] += 1
+            return s, g_psi
+
+        def form():
+            calls["formed"] += 1
+            return g_psi()
+        return s, form
+
+    monkeypatch.setitem(prox._REGISTRY, key, counting)
+    config = ProxGradient(iterations=30)
+    state, trial, trials = EngineState(inst), None, []
+    for _ in range(config.iterations):
+        calls.update(trials=0, formed=0)
+        trial = advance(config, state, inst, trial)
+        assert calls["formed"] == 1, calls
+        trials.append(calls["trials"])
+    assert sum(trials) > config.iterations  # some trials were rejected
 
 
 @pytest.mark.parametrize("name", ["poisson-burg", "lasso"])

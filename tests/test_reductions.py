@@ -1,15 +1,19 @@
-"""The per-trial oracles, kernels, Bregman distances and prox solvers call
-ndarray reductions (a.any(), a.sum(), a.max(), a.clip()); each must return
-exactly what its module-function form in conftest returns, bit for bit, and
-raise the same error, on random, boundary, NaN, +-inf and empty inputs."""
+"""The per-trial oracles, kernels, Bregman distances, prox solvers,
+condition sides and linear maps call ndarray reductions (a.any(), a.sum(),
+a.max(), a.clip(), a.sort(), a.cumsum(), a.nonzero()), ndarray.dot and
+np.vdot; each must return exactly what its module-function or @ form in
+conftest returns, bit for bit, and raise the same error, on random,
+boundary, NaN, +-inf and empty inputs."""
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import conftest as old
-from fomcert import _kernels
+from fomcert import _kernels, methods
+from fomcert.linalg import LinearMap
 from fomcert.oracles import (
     BoxIndicator,
     L1BallIndicator,
@@ -17,9 +21,9 @@ from fomcert.oracles import (
     SimplexIndicator,
     ZeroFunction,
 )
-from fomcert.problems import make_instance
-from fomcert.prox import _solve_burg_box, _solve_entropy_simplex, _solve_sq_box
-from fomcert.reference import Burg, Entropy
+from fomcert.problems import REGISTRY_NAMES, SplitMix64, make_instance
+from fomcert.prox import prox_step
+from fomcert.reference import Burg, Entropy, SquaredEuclidean
 
 _SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0)
 
@@ -143,6 +147,13 @@ def test_smooth_part_matches_module_forms(name):
     _check(inst.f.conjugate, lambda u: conjugate(b, u), [(v,) for v in vs])
 
 
+def _prox(h, psi, t):
+    """(c, s_prev) -> the (s, g_psi) that prox_step unpacks to, for the
+    registered (h, psi) pair at step t."""
+    pair = SimpleNamespace(h=h, psi=psi)
+    return lambda c, s_prev: tuple(prox_step(pair, c, t, s_prev))
+
+
 @pytest.mark.parametrize("n", (1, 6))
 def test_prox_solvers_match_module_forms(n):
     vs = _vectors(n)
@@ -153,15 +164,120 @@ def test_prox_solvers_match_module_forms(n):
     for t in (0.5, 3.0):
         for psi in boxes:
             raised += _check(
-                lambda c, s, psi=psi: _solve_sq_box(c, t, s, None, psi),
+                _prox(SquaredEuclidean(), psi, t),
                 lambda c, s, psi=psi: old.old_solve_sq_box(c, t, s, psi),
                 _pairs(vs))
             raised += _check(
-                lambda c, s, psi=psi: _solve_burg_box(c, t, s, None, psi),
+                _prox(Burg(), psi, t),
                 lambda c, s, psi=psi: old.old_solve_burg_box(c, t, s, psi),
                 _pairs(vs))
         raised += _check(
-            lambda c, s: _solve_entropy_simplex(c, t, s, None, None),
+            _prox(Entropy(), SimplexIndicator(), t),
             lambda c, s: old.old_solve_entropy_simplex(c, t, s),
             _pairs(vs))
     assert raised > 0  # DomainError and NotAdmissible paths were exercised
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_kernels_match_sort_and_matmul_forms(n):
+    vs = _vectors(n)
+    # A +inf or NaN entry, and the empty vector, raise DomainError.
+    assert _check(_kernels.project_simplex, old.old_project_simplex,
+                  [(v,) for v in vs]) > 0
+    _check(SquaredEuclidean().value, old.old_sq_euclid_value, [(v,) for v in vs])
+    for new in (_kernels.sq_euclid_bregman, SquaredEuclidean().bregman):
+        _check(new, old.old_sq_euclid_bregman_kernel, _pairs(vs))
+
+
+def _check_map(matrix, xs, us):
+    A = LinearMap.dense(matrix)
+    # ndarray.dot multiplies two one-element operands directly, so a 1x1
+    # map keeps the sign of a zero product, which @ adds to +0.0; adding
+    # +0.0 to both forms makes them agree there, and only there.
+    same = (lambda v: v + 0.0) if matrix.shape == (1, 1) else (lambda v: v)
+    _check(lambda x: same(A.apply(x)),
+           lambda x: same(old.old_apply(A._matrix, x)), [(x,) for x in xs])
+    _check(lambda u: same(A.adjoint_apply(u)),
+           lambda u: same(old.old_adjoint_apply(A._matrix, u)),
+           [(u,) for u in us])
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_linear_maps_match_matmul_forms(n):
+    rng = np.random.default_rng(3)
+    for m in (0, 1, 4, n):
+        matrix = rng.normal(size=(m, n))
+        # A C-ordered matrix, and an F-ordered one (the transpose of one).
+        for mat in (matrix, np.ascontiguousarray(matrix.T).T):
+            _check_map(mat, _vectors(n), _vectors(m))
+
+
+def test_large_dense_map_matches_matmul_forms():
+    # The shape of the large-n lasso map.
+    rng = np.random.default_rng(4)
+    matrix = rng.normal(size=(1500, 1000))
+    vectors = {}
+    for size in (1000, 1500):
+        x = rng.normal(size=size)
+        vectors[size] = [x, np.zeros(size), x / np.abs(x).sum()]
+        for special in (np.nan, np.inf, -np.inf):
+            v = x.copy()
+            v[rng.integers(size)] = special
+            vectors[size].append(v)
+    _check_map(matrix, vectors[1000], vectors[1500])
+
+
+def _closure(fn):
+    return inspect.getclosurevars(fn).nonlocals
+
+
+def _smallest(name):
+    """The instance's parameters of size 1, where a product of two vectors
+    has one term: then ndarray.dot would keep the sign of a zero."""
+    return {"n": 1} if name in ("simplex-quadratic", "cg-ball") else {"n": 1, "m": 1}
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "size-1"])
+@pytest.mark.parametrize("name", ["simplex-quadratic", "cg-ball", "lasso",
+                                  "holder", "l1-regression"])
+def test_smooth_products_match_matmul_forms(name, small):
+    f = make_instance(name, seed=0, **(_smallest(name) if small else {})).f
+    if name == "lasso":
+        b = _closure(f.value)["b"]
+        cases = [(f.value, lambda y: old.old_lasso_value(b, y)),
+                 (f.conjugate, lambda u: old.old_lasso_conjugate(b, u))]
+    elif name == "l1-regression":
+        b = _closure(f.conjugate)["b"]
+        cases = [(f.conjugate, lambda u: old.old_l1_regression_conjugate(b, u))]
+    elif name == "holder":
+        b, p = _closure(f.value)["b"], _closure(f.value)["p"]
+        nu = _closure(f.subgradient)["nu"]
+        cases = [(f.value, lambda y: old.old_holder_value(b, p, y)),
+                 (f.subgradient, lambda y: old.old_holder_subgradient(b, nu, y)),
+                 (f.conjugate, lambda u: old.old_holder_conjugate(b, p, nu, u))]
+    else:
+        Q, b = _closure(f.value)["Q"], _closure(f.value)["q"]  # b is q here
+        Qinv = _closure(f.conjugate)["Qinv"]
+        cases = [(f.value, lambda x: old.old_quadratic_value(Q, b, x)),
+                 (f.subgradient, lambda x: old.old_quadratic_subgradient(Q, b, x)),
+                 (f.conjugate, lambda u: old.old_quadratic_conjugate(Qinv, b, u))]
+    # The data vector b (q for a quadratic) and a point near it join the
+    # random, boundary and special vectors.
+    rng = np.random.default_rng(1)
+    vs = _vectors(b.size) + [b.copy(), b + rng.normal(size=b.size)]
+    for new, ref in cases:
+        _check(new, ref, [(v,) for v in vs])
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "size-1"])
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_condition_sides_match_matmul_forms(name, small):
+    inst = make_instance(name, seed=0, **(_smallest(name) if small else {}))
+    width, points = inst.sampler
+    sampled = list(points(SplitMix64(7).uniforms(6 * width).reshape(6, width)))
+    vs = sampled + _vectors(inst.A.in_dim)[::3]
+    con = {"M": 2.0}
+    _check(lambda u, v: methods._composite_bregman(inst, u, v),
+           lambda u, v: old.old_composite_bregman(inst, u, v), _pairs(vs))
+    _check(lambda x, s: methods._relcont_sides(inst, con, x, s, 0.3),
+           lambda x, s: old.old_relcont_sides(inst, con, x, s, 0.3), _pairs(vs))
