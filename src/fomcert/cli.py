@@ -65,29 +65,18 @@ def _load_run_config(path):
     return cfg
 
 
-def _checked_constants(instance, overrides):
-    """The config's constant overrides, each of which must name a constant
-    the instance declares and be a finite number > 0."""
-    _check_object(overrides, "constants")
-    for name, value in overrides.items():
-        if name not in instance.constants:
-            raise ConfigError("constants.%s is not a constant %s declares "
-                              "(it declares %s)" % (name, instance.name,
-                                                    ", ".join(instance.constants)))
-        check_number(value, "constants." + name, 0.0, strict=True)
-    return overrides
-
-
 def cmd_run(args):
     try:
         cfg = _load_run_config(args.config)
         inst_spec = cfg["instance"]
         instance = problems.make_instance(
-            inst_spec["name"], seed=inst_spec.get("seed", 0),
+            inst_spec.get("name"), seed=inst_spec.get("seed", 0),
             **inst_spec.get("params", {}))
         # Declared-constant overrides, mainly for fault-injection checks.
-        instance.constants.update(
-            _checked_constants(instance, inst_spec.get("constants", {})))
+        overrides = inst_spec.get("constants", {})
+        _check_object(overrides, "constants")
+        problems.check_constants(instance, overrides, "constants.")
+        instance.constants.update(overrides)
         config = config_from_dict(cfg["method"], cfg["iterations"])
         config.check_compatible(instance)
         tol = cfg.get("tolerance", methods.DEFAULT_TOL)
@@ -137,16 +126,17 @@ def cmd_verify(args):
     try:
         check_positive_int(args.samples, "samples")
         instance = problems.make_instance(args.instance, seed=args.seed)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     overrides = {}
     for item in args.scale_constant or []:
         try:
             name, factor = item.split("=")
-            overrides[name] = instance.constants[name] * float(factor)
-            check_number(overrides[name], "the scaled " + name, 0.0, strict=True)
-        except (ValueError, KeyError) as exc:
+            scaled = {name: instance.constants.get(name, 1.0) * float(factor)}
+            problems.check_constants(instance, scaled, "the scaled ")
+            overrides.update(scaled)
+        except ValueError as exc:
             print("config error: bad --scale-constant %r (%s)" % (item, exc),
                   file=sys.stderr)
             return EXIT_CONFIG

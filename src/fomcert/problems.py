@@ -37,6 +37,10 @@ _U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_MIX2 = np.uint64(0x94D049BB133111EB)
 _U_30, _U_27, _U_31, _U_11 = (np.uint64(b) for b in (30, 27, 31, 11))
 
+# The most variates SplitMix64.normals draws per block: the 1500 x 1000
+# lasso matrix as one block raised a large-n run's peak RSS by 10%.
+_NORMALS_CHUNK = 1 << 16
+
 
 class SplitMix64:
     """Seeded 64-bit generator; fixed algorithm for reproducibility.
@@ -83,10 +87,15 @@ class SplitMix64:
         may differ from libm in the last bit (3,517 of a million log values
         on an AVX-512 CPU), which would change every seeded instance.  The
         max, products and sqrt are correctly rounded in both, so they run
-        in numpy.
+        in numpy.  They run on chunks of at most _NORMALS_CHUNK = 2**16
+        variates, each from its own block of uniforms, into one output
+        array, so the temporaries stay a few MB at any n.
         """
-        u = self.uniforms(2 * n)
-        return _box_muller(u[0::2], u[1::2])
+        out = np.empty(n)  # ValueError for n < 0, as u64s
+        for start in range(0, n, _NORMALS_CHUNK):
+            u = self.uniforms(2 * min(_NORMALS_CHUNK, n - start))
+            out[start:start + u.size // 2] = _box_muller(u[0::2], u[1::2])
+        return out
 
 
 def _box_muller(u1, u2):
@@ -130,7 +139,7 @@ def _quadratic_oracle(Q, q):
 
 
 def _make_simplex_quadratic(rng, n=20, reference="entropy"):
-    G = np.array([rng.normals(n) for _ in range(n)])
+    G = rng.normals(n * n).reshape(n, n)
     Q = G.T @ G / n + 0.1 * np.eye(n)
     q = 0.5 * rng.normals(n)
     L = float(np.linalg.eigvalsh(Q)[-1])
@@ -153,7 +162,7 @@ def _make_simplex_quadratic(rng, n=20, reference="entropy"):
 
 
 def _make_lasso(rng, n=20, m=30, lam=None, cond=1e5):
-    G = np.array([rng.normals(n) for _ in range(m)])
+    G = rng.normals(m * n).reshape(m, n)
     # Stretch the spectrum so the fast method stays in its sublinear regime.
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     s = np.geomspace(1.0, 1.0 / cond, s.size)
@@ -177,9 +186,7 @@ def _make_lasso(rng, n=20, m=30, lam=None, cond=1e5):
     start = np.zeros(n)
     scale = max(1.0, float(np.max(np.abs(x_true))))
 
-    def points(u):
-        return scale * (2.0 * u - 1.0)
-
+    points = lambda u: scale * (2.0 * u - 1.0)
     return ProblemInstance(
         A=LinearMap.dense(B), f=f, psi=L1Norm(lam), h=SquaredEuclidean(),
         feasible_start=start, constants={"L": L},
@@ -205,9 +212,7 @@ def _make_poisson_burg(rng, n=10, m=15, lo=0.1, hi=10.0):
     L = float(np.sum(b))
     start = np.ones(n)
 
-    def points(u):
-        return lo + _MARGIN + (hi - lo - 2 * _MARGIN) * u
-
+    points = lambda u: lo + _MARGIN + (hi - lo - 2 * _MARGIN) * u
     return ProblemInstance(
         A=LinearMap.dense(B), f=f, psi=BoxIndicator(np.full(n, lo), np.full(n, hi)),
         h=Burg(), feasible_start=start, constants={"L": L},
@@ -215,7 +220,7 @@ def _make_poisson_burg(rng, n=10, m=15, lo=0.1, hi=10.0):
 
 
 def _make_l1_regression(rng, n=10, m=20, box=1.0):
-    B = np.array([rng.normals(n) for _ in range(m)])
+    B = rng.normals(m * n).reshape(m, n)
     x_true = box * (2.0 * rng.uniforms(n) - 1.0)
     b = B @ x_true + 0.1 * rng.normals(m)
 
@@ -230,9 +235,7 @@ def _make_l1_regression(rng, n=10, m=20, box=1.0):
     M = float(np.sum(np.linalg.norm(B, axis=1))) ** 2
     start = np.zeros(n)
 
-    def points(u):
-        return (box - _MARGIN) * (2.0 * u - 1.0)
-
+    points = lambda u: (box - _MARGIN) * (2.0 * u - 1.0)
     return ProblemInstance(
         A=LinearMap.dense(B), f=f,
         psi=BoxIndicator(np.full(n, -box), np.full(n, box)),
@@ -259,7 +262,7 @@ def _l1_regression_optimum(B, b, box):
 
 
 def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
-    B = np.array([rng.normals(n) for _ in range(m)])
+    B = rng.normals(m * n).reshape(m, n)
     x_true = 0.5 * box * (2.0 * rng.uniforms(n) - 1.0)
     b = B @ x_true + 0.1 * rng.normals(m)
     p = 1.0 + nu
@@ -284,9 +287,7 @@ def _make_holder(rng, n=10, m=12, nu=0.5, box=2.0):
     M = 2.0 ** (1.0 - nu) * sigma ** p
     start = np.full(n, 0.75 * box)
 
-    def points(u):
-        return (box - _MARGIN) * (2.0 * u - 1.0)
-
+    points = lambda u: (box - _MARGIN) * (2.0 * u - 1.0)
     return ProblemInstance(
         A=LinearMap.dense(B), f=f,
         psi=BoxIndicator(np.full(n, -box), np.full(n, box)),
@@ -313,7 +314,7 @@ def _holder_optimum(B, b, nu, box, n):
 
 
 def _make_cg_ball(rng, n=10, radius=1.0):
-    G = np.array([rng.normals(n) for _ in range(n)])
+    G = rng.normals(n * n).reshape(n, n)
     Q = G.T @ G / n + 0.1 * np.eye(n)
     # Put the unconstrained minimizer outside the ball so the constraint binds.
     x_unc = rng.normals(n)
@@ -374,13 +375,22 @@ _REGISTRY = {
 
 REGISTRY_NAMES = tuple(_REGISTRY)
 
+# Each builder's parameters after rng, with their defaults.
+_PARAMS = {name: {p.name: p.default
+                  for p in list(inspect.signature(build).parameters.values())[1:]}
+           for name, build in _REGISTRY.items()}
+
+
+class UnknownInstance(ConfigError, KeyError):
+    """A name the registry does not hold."""
+    __str__ = ConfigError.__str__  # the message, not KeyError's repr of it
+
 
 def _check_spec(name, seed, params):
     """Raise ConfigError for a seed or an instance parameter out of range."""
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK:
         raise ConfigError("seed must be an integer in [0, 2**64), got %r" % (seed,))
-    takes = list(inspect.signature(_REGISTRY[name]).parameters.values())[1:]
-    spec = {p.name: p.default for p in takes}
+    spec = dict(_PARAMS[name])
     for key, value in params.items():
         if key not in spec:
             raise ConfigError("%s is not a %s parameter (it takes %s)"
@@ -401,25 +411,38 @@ def _check_spec(name, seed, params):
                           % (spec["lo"], spec["hi"]))
 
 
+def check_constants(instance, values, what):
+    """Raise ConfigError for a key of values that names no declared constant
+    of instance, or a value not a finite number > 0 (nor above 1 for nu)."""
+    for key, value in values.items():
+        if key not in instance.constants:
+            raise ConfigError("%s%s is not a constant %s declares (it declares "
+                              "%s)" % (what, key, instance.name,
+                                       ", ".join(instance.constants)))
+        check_number(value, what + key, 0.0, strict=True)
+        if key == "nu" and value > 1.0:
+            raise ConfigError("%s%s must be at most 1, got %r" % (what, key, value))
+
+
 def make_instance(name, seed=0, **params):
     """Build a registry instance deterministically from its seed.
 
-    Raises KeyError for an unknown name and ConfigError for a seed outside
-    [0, 2**64), a parameter the instance does not take or out of range, or
-    parameters that make a declared constant other than a finite number
-    > 0.  Runs no solve: a registered optimum is solved on first use
-    (reference_optimum).
+    Raises UnknownInstance (a KeyError and a ConfigError) for an unknown
+    name, and ConfigError for a seed outside [0, 2**64), a parameter the
+    instance does not take or out of range, or parameters that make a
+    declared constant other than a finite number > 0.  Runs no solve: a
+    registered optimum is solved on first use (reference_optimum).
     """
     if name not in _REGISTRY:
-        raise KeyError("unknown instance %r; choose from %s" % (name, REGISTRY_NAMES))
+        raise UnknownInstance("unknown instance %r; choose from %s"
+                              % (name, ", ".join(REGISTRY_NAMES)))
     _check_spec(name, seed, params)
     rng = SplitMix64(seed)
     try:
         instance, sampler = _REGISTRY[name](rng, **params)
     except OverflowError as exc:
         raise ConfigError("a declared constant of %s overflows: %s" % (name, exc))
-    for key, value in instance.constants.items():
-        check_number(value, "the declared constant " + key, 0.0, strict=True)
+    check_constants(instance, instance.constants, "the declared constant ")
     instance.sampler = sampler
     return instance
 

@@ -82,6 +82,8 @@ def backtrack(state, instance, ysel, r, t, eps=0.0):
             probe = attempt(t * r)
             if probe is None:
                 break
+            if probe.s.tobytes() == trial.s.tobytes():
+                return probe  # s stopped moving; more t would only grow T
             trial, t = probe, t * r
         return trial
     for _ in range(MAX_GRID_STEPS):

@@ -110,6 +110,12 @@ def per_point_sampler(inst):
     return sample
 
 
+def rowwise_normals(rng, m, n):
+    """An m x n matrix of normals drawn one row at a time from rng, the form
+    whose bits a builder's one rng.normals(m * n) block must reproduce."""
+    return np.array([rng.normals(n) for _ in range(m)])
+
+
 def matrix_of(A):
     """The matrix of the LinearMap A, built column by column as A e_j."""
     return np.column_stack([A.apply(e) for e in np.eye(A.in_dim)])

@@ -222,6 +222,7 @@ def test_run_bad_instance_spec_exits_1(tmp_path, capsys, instance, key):
     ("lasso", "prox_gradient", {"L": True}),
     ("lasso", "prox_gradient", {"L": float("inf")}),
     ("lasso", "prox_gradient", {"L": 0}),
+    ("holder", "universal_gradient", {"nu": 2.0}),
 ], ids=repr)
 def test_run_bad_constant_override_exits_1(tmp_path, capsys, instance, method,
                                            constants):
@@ -231,6 +232,33 @@ def test_run_bad_constant_override_exits_1(tmp_path, capsys, instance, method,
         instance={"name": instance, "seed": 0, "constants": constants},
         method={"name": method}, reference=True)
     assert line.startswith("config error: constants.%s " % name), line
+
+
+def test_run_unknown_instance_exits_1_without_quotes(tmp_path, capsys):
+    line = _config_error(tmp_path, capsys,
+                         instance={"name": "nope", "seed": 0})
+    assert line.startswith("config error: unknown instance 'nope'; "), line
+
+
+@pytest.mark.parametrize("name,params,method,seed", [
+    ("simplex-quadratic", {"n": 1}, "prox_gradient", 29),
+    ("holder", {"n": 1, "m": 1}, "universal_gradient", 1),
+    ("holder", {"n": 1, "m": 1}, "universal_gradient", 2),
+    ("holder", {"n": 1, "m": 1}, "universal_gradient", 5),
+    ("holder", {"n": 1, "m": 1}, "universal_gradient", 9),
+    ("holder", {"n": 1, "m": 1}, "universal_gradient", 31),
+], ids=repr)
+def test_run_on_a_one_point_feasible_set_exits_0(tmp_path, capsys, name,
+                                                 params, method, seed):
+    # Every trial leaves s at the one feasible point; the upward step probe
+    # used to grow T to T_MAX and abort a run that had already converged.
+    cfgpath = _write_config(
+        tmp_path / "cfg.json",
+        instance={"name": name, "seed": seed, "params": params},
+        method={"name": method}, iterations=60)
+    code = cli.main(["run", "--config", str(cfgpath),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
 
 
 def test_run_bad_constants_object_exits_1(tmp_path, capsys):
@@ -511,6 +539,28 @@ def test_verify_seed_out_of_range_exits_1(capsys, seed):
                      "--seed", seed]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: seed "), err
+
+
+@pytest.mark.parametrize("scaled,message", [
+    ("nu=4", "the scaled nu must be at most 1, got 2.0"),
+    ("X=2", "the scaled X is not a constant holder declares (it declares "
+            "M, nu)"),
+])
+def test_verify_bad_scaled_constant_exits_1(capsys, scaled, message):
+    # A Hoelder exponent above 1 is out of the class, not a violated bound.
+    assert cli.main(["verify", "--instance", "holder", "--samples", "50",
+                     "--scale-constant", scaled]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: bad --scale-constant %r (%s)" % (scaled, message)]
+
+
+def test_verify_unknown_instance_exits_1_without_quotes(capsys):
+    assert cli.main(["verify", "--instance", "nope"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: unknown instance 'nope'; choose from "
+                   + ", ".join(problems.REGISTRY_NAMES)], err
 
 
 def test_verify_bad_flag():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fomcert import cli, run
+from fomcert import cli, problems, run
 from fomcert.linalg import LinearMap
 from fomcert.methods import (
     ConditionalSubgradient,
@@ -29,7 +30,12 @@ from fomcert.problems import (
 )
 from fomcert.reference import Entropy, SquaredEuclidean, ZeroReference
 
-from conftest import ScalarSplitMix64, matrix_of, per_point_sampler
+from conftest import (
+    ScalarSplitMix64,
+    matrix_of,
+    per_point_sampler,
+    rowwise_normals,
+)
 
 ALL_NAMES = list(REGISTRY_NAMES)
 
@@ -82,6 +88,17 @@ def test_block_draws_equal_scalar_stream(seed, n):
         assert block.normal() == scalar.normal()
 
 
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+def test_normals_across_the_chunk_bound_equal_scalar_stream(n):
+    # normals draws at most 2**16 variates per block of uniforms.
+    assert problems._NORMALS_CHUNK == 2**16
+    block, scalar = ScalarSplitMix64(7), ScalarSplitMix64(7)
+    got = block.normals(n)
+    assert got.tobytes() == _scalar_block(scalar, "normals", n).tobytes()
+    assert block.state == scalar.state
+    assert block.normal() == scalar.normal()
+
+
 @pytest.mark.parametrize("method", ["u64s", "uniforms", "normals"])
 def test_block_draws_reject_negative_n(method):
     r = SplitMix64(3)
@@ -117,6 +134,49 @@ def test_instance_data_digest(seed, name):
         got = _digest(inst.f.subgradient(np.linspace(-1.0, 1.0, 200)),
                       [inst.constants["L"]])
     assert got == _INSTANCE_DIGESTS[seed, name]
+
+
+def _spy_on(monkeypatch, owner, attr):
+    """Record the arguments and the result of every call to owner.attr."""
+    calls, real = [], getattr(owner, attr)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+# lasso and holder also get a shape whose matrix spans three chunks.
+@pytest.mark.parametrize("name,params", [
+    (name, {}) for name in ALL_NAMES if name != "poisson-burg"] + [
+    ("lasso", {"n": 350, "m": 400}), ("holder", {"n": 300, "m": 500})],
+    ids=repr)
+def test_builder_matrix_equals_rowwise_draws(monkeypatch, name, params):
+    # The matrix is the builder's first draw, in one normals call.
+    calls = _spy_on(monkeypatch, SplitMix64, "normals")
+    inst = make_instance(name, seed=7, **params)
+    spec = dict(problems._PARAMS[name], **params)
+    m, n = spec.get("m", spec["n"]), spec["n"]
+    (_, size), drawn = calls[0]
+    want = rowwise_normals(SplitMix64(7), m, n)
+    assert size == m * n and drawn.reshape(m, n).tobytes() == want.tobytes()
+    if name in ("l1-regression", "holder"):  # A is the drawn matrix itself
+        assert inst.A._matrix.tobytes() == want.tobytes()
+
+
+def test_lasso_n1000_draws_normals_in_bounded_chunks(monkeypatch):
+    calls = _spy_on(monkeypatch, problems, "_box_muller")
+    make_instance("lasso", seed=0, n=1000, m=1500)
+    sizes = [u1.size for (u1, _), _ in calls]
+    assert max(sizes) == 2**16 and sum(sizes) == 1500 * 1000 + 1000 + 1500
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_parameter_table_is_each_builders_signature(name):
+    takes = list(inspect.signature(problems._REGISTRY[name]).parameters.values())
+    assert takes[0].name == "rng"
+    assert problems._PARAMS[name] == {p.name: p.default for p in takes[1:]}
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -324,7 +384,7 @@ def test_reference_optimum_rejects_a_shifted_conjugate(name, seed):
 def _l1_regression_data(seed, n=10, m=20, box=1.0):
     """B and b of make_instance("l1-regression", seed), drawn again."""
     rng = SplitMix64(seed)
-    B = np.array([rng.normals(n) for _ in range(m)])
+    B = rowwise_normals(rng, m, n)
     x_true = box * (2.0 * rng.uniforms(n) - 1.0)
     return B, B @ x_true + 0.1 * rng.normals(m)
 

@@ -127,17 +127,26 @@ def test_propose_rejects_a_step_without_positive_weight(quad1d, T, t):
 
 
 def test_backtrack_keeps_the_step_sum_below_t_max(quad1d):
-    # Every trial passes the descent condition on the quadratic with L = 1
-    # from the optimum, so only T_MAX stops the upward probe.
-    quad1d.feasible_start[:] = 0.0
-    state = EngineState(quad1d)
+    # On the quadratic with L = 2^-512 from x = 1, every step t up to T_MAX
+    # passes the descent condition (L t theta <= 1) and moves s = 1 - L t,
+    # so only T_MAX stops the upward probe.
+    inst = quadratic_1d(curvature=steprules.T_MAX ** -1)
+    state = EngineState(inst)
     state.T.add(steprules.T_MAX / 4.0)
-    trial = backtrack(state, quad1d, PROX_POINT, 2.0, steprules.T_MAX / 8.0)
-    assert trial.t == steprules.T_MAX / 2.0
+    trial = backtrack(state, inst, PROX_POINT, 2.0, steprules.T_MAX / 8.0)
+    assert trial.t == steprules.T_MAX / 2.0 and trial.s[0] == 0.5
     assert state.T.total + trial.t <= steprules.T_MAX
     state.T.add(steprules.T_MAX)
     with pytest.raises(BacktrackFailed, match="was out of range"):
-        backtrack(state, quad1d, PROX_POINT, 2.0, 1.0)
+        backtrack(state, inst, PROX_POINT, 2.0, 1.0)
+
+
+def test_backtrack_stops_once_the_probe_leaves_s_in_place(quad1d):
+    # From the optimum every step passes and s stays at 0: the probe keeps
+    # its first step up, and T does not grow towards T_MAX.
+    quad1d.feasible_start[:] = 0.0
+    trial = backtrack(EngineState(quad1d), quad1d, PROX_POINT, 2.0, 1.0)
+    assert trial.t == 2.0 and trial.s.tolist() == [0.0]
 
 
 def test_backtrack_survives_domain_failures_on_probes():
