@@ -37,9 +37,10 @@ _U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_MIX2 = np.uint64(0x94D049BB133111EB)
 _U_30, _U_27, _U_31, _U_11 = (np.uint64(b) for b in (30, 27, 31, 11))
 
-# The most variates SplitMix64.normals draws per block: the 1500 x 1000
-# lasso matrix as one block raised a large-n run's peak RSS by 10%.
-_NORMALS_CHUNK = 1 << 16
+# The most variates SplitMix64.normals draws per block.  Drawn as one
+# block, the 1500 x 1000 lasso matrix raised a large-n run's peak RSS by
+# 10%, and in blocks of 2**16 by 0.7%; at 2**13 it reads as row by row.
+_NORMALS_CHUNK = 1 << 13
 
 
 class SplitMix64:
@@ -87,7 +88,7 @@ class SplitMix64:
         may differ from libm in the last bit (3,517 of a million log values
         on an AVX-512 CPU), which would change every seeded instance.  The
         max, products and sqrt are correctly rounded in both, so they run
-        in numpy.  They run on chunks of at most _NORMALS_CHUNK = 2**16
+        in numpy.  They run on chunks of at most _NORMALS_CHUNK = 2**13
         variates, each from its own block of uniforms, into one output
         array, so the temporaries stay a few MB at any n.
         """

@@ -88,10 +88,13 @@ def test_block_draws_equal_scalar_stream(seed, n):
         assert block.normal() == scalar.normal()
 
 
-@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+@pytest.mark.parametrize("n", [2**13 - 1, 2**13, 2**13 + 1,
+                               2**16 - 1, 2**16, 2**16 + 1])
 def test_normals_across_the_chunk_bound_equal_scalar_stream(n):
-    # normals draws at most 2**16 variates per block of uniforms.
-    assert problems._NORMALS_CHUNK == 2**16
+    # normals draws at most 2**13 variates per block of uniforms; apart from
+    # test_block_draws_equal_scalar_stream, whose 15 cases per n would make
+    # these sizes take seconds.
+    assert problems._NORMALS_CHUNK == 2**13
     block, scalar = ScalarSplitMix64(7), ScalarSplitMix64(7)
     got = block.normals(n)
     assert got.tobytes() == _scalar_block(scalar, "normals", n).tobytes()
@@ -147,7 +150,7 @@ def _spy_on(monkeypatch, owner, attr):
     return calls
 
 
-# lasso and holder also get a shape whose matrix spans three chunks.
+# lasso and holder also get a shape whose matrix spans many chunks.
 @pytest.mark.parametrize("name,params", [
     (name, {}) for name in ALL_NAMES if name != "poisson-burg"] + [
     ("lasso", {"n": 350, "m": 400}), ("holder", {"n": 300, "m": 500})],
@@ -169,7 +172,7 @@ def test_lasso_n1000_draws_normals_in_bounded_chunks(monkeypatch):
     calls = _spy_on(monkeypatch, problems, "_box_muller")
     make_instance("lasso", seed=0, n=1000, m=1500)
     sizes = [u1.size for (u1, _), _ in calls]
-    assert max(sizes) == 2**16 and sum(sizes) == 1500 * 1000 + 1000 + 1500
+    assert max(sizes) == 2**13 and sum(sizes) == 1500 * 1000 + 1000 + 1500
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
